@@ -58,19 +58,6 @@ class Tensor:
     def __repr__(self) -> str:
         return "Tensor(shape=%r, requires_grad=%r)" % (self.shape, self.requires_grad)
 
-    # Operator sugar; everything routes through the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Ordered record of operations, replayed in reverse by backward().
@@ -314,9 +301,10 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     """2-d convolution over a (C_in, H, W) input, kernels (C_out, C_in, kh, kw).
 
     Odd kernel sizes only.  "same" pads with zeros so that stride 1 preserves
-    H and W; "valid" does not pad.  The per-channel accumulator is built by
-    adding one shifted input slice per (c_in, kh, kw) kernel tap, in kernel
-    row-major order, which keeps the result bit-identical to a scalar loop.
+    H and W; "valid" does not pad.  The forward adds one shifted input slice,
+    times each output channel's weight, per (c_in, kh, kw) tap in row-major
+    order, so every output is bit-identical to a scalar loop.  The backward
+    sums in another order: reproducible, but not bit-identical to a loop.
     """
     if x.data.ndim != 3:
         raise ShapeError("conv2d input must be (C_in, H, W), got %r" % (x.shape,))
@@ -346,15 +334,12 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=dt)
     xp[:, ph:ph + h, pw:pw + w] = x.data
     kd = kernels.data
-    y = np.empty((c_out, ho, wo), dtype=dt)
-    for co in range(c_out):
-        acc = np.full((ho, wo), bias.data[co] if bias is not None else dt.type(0), dtype=dt)
-        for ci in range(c_in):
-            for i in range(kh):
-                for j in range(kw):
-                    acc = acc + xp[ci, i:i + ho * stride:stride, j:j + wo * stride:stride] * kd[co, ci, i, j]
-        y[co] = acc
-    out = Tensor(y, dtype=dt)
+    acc = np.full((c_out, ho, wo), 0 if bias is None else bias.data[:, None, None], dtype=dt)
+    for ci in range(c_in):
+        for i in range(kh):
+            for j in range(kw):
+                acc = acc + xp[ci, i:i + ho * stride:stride, j:j + wo * stride:stride] * kd[:, ci, i, j, None, None]
+    out = Tensor(acc, dtype=dt)
 
     def rule(g, inputs):
         tx = inputs[0]
@@ -362,20 +347,14 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         tb = inputs[2] if len(inputs) == 3 else None
         if tx.requires_grad:
             dxp = np.zeros_like(xp)
-            for co in range(c_out):
-                for ci in range(c_in):
-                    for i in range(kh):
-                        for j in range(kw):
-                            dxp[ci, i:i + ho * stride:stride, j:j + wo * stride:stride] += g[co] * kd[co, ci, i, j]
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += np.tensordot(kd[:, :, i, j], g, axes=(0, 0))
             _accum(tx, dxp[:, ph:ph + h, pw:pw + w])
         if tk.requires_grad:
-            dk = np.zeros_like(kd)
-            for co in range(c_out):
-                for ci in range(c_in):
-                    for i in range(kh):
-                        for j in range(kw):
-                            dk[co, ci, i, j] = np.sum(g[co] * xp[ci, i:i + ho * stride:stride, j:j + wo * stride:stride])
-            _accum(tk, dk)
+            # windows[ci, oi, oj, i, j] = xp[ci, oi * stride + i, oj * stride + j]
+            windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+            _accum(tk, np.tensordot(g, windows, axes=((1, 2), (1, 2))))
         if tb is not None and tb.requires_grad:
             _accum(tb, g.sum(axis=(1, 2)))
 

@@ -95,6 +95,7 @@ class EncoderStream:
         self._blocks: list = []
         self._stacked: ad.Tensor | None = None
         self._carried: LstmState | None = None
+        self._tail: np.ndarray | None = None  # feature rows the last chunk discarded
         self._offset = 0       # where the next chunk starts in the buffer
         self._encoded_to = 0   # buffered frames consumed by encodes so far
         self.chunk_log: list[ChunkRecord] = []
@@ -135,7 +136,9 @@ class EncoderStream:
 
         Returns the updated outputs.  Chunks shorter than the front end
         window are buffered until enough frames arrive; a final chunk that
-        stays shorter is dropped.
+        stays shorter is dropped.  An empty final feed to an overlap stream
+        encodes the positions its last chunk discarded, and that chunk's
+        record then counts them as kept.
         """
         if self._closed:
             raise StreamClosedError("stream already received its final chunk")
@@ -171,6 +174,10 @@ class EncoderStream:
         g = len(self._buffer)
         new = g - self._encoded_to
         if new <= 0:
+            if self._closed and self._tail is not None:
+                self._encode_rows(self._tail)
+                last = self.chunk_log[-1]
+                self.chunk_log[-1] = ChunkRecord(last.start, last.length, last.kept + last.discarded, 0)
             return
         chunk = self._buffer[self._offset:g]
         if len(chunk) < MIN_CHUNK_FRAMES:
@@ -181,12 +188,14 @@ class EncoderStream:
         total = feats.shape[0]
         kept = max(0, total - discard)
         if kept > 0:
-            kept_feats = ad.Tensor(feats.data[:kept])
-            outputs, state = encoder_forward(kept_feats, self.params, self.cfg,
-                                             init=self._carried)
-            self._carried = state
-            self._blocks.append(outputs.data)
+            self._encode_rows(feats.data[:kept])
+        self._tail = feats.data[kept:] if kept < total else None
         self._frames_processed += len(chunk)
         self.chunk_log.append(ChunkRecord(self._offset, len(chunk), kept, total - kept))
         self._encoded_to = g
         self._offset = g - overlap
+
+    def _encode_rows(self, rows: np.ndarray) -> None:
+        outputs, self._carried = encoder_forward(ad.Tensor(rows), self.params, self.cfg,
+                                                 init=self._carried)
+        self._blocks.append(outputs.data)

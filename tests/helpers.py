@@ -11,16 +11,21 @@ import numpy as np
 from streamst import autodiff as ad
 
 
+def _pad(x, k, padding):
+    """Zero-pad (C_in, H, W) for kernels k; returns the padded input, ph, pw."""
+    c_in, h, w = x.shape
+    kh, kw = k.shape[2:]
+    ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if padding == "same" else (0, 0)
+    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    xp[:, ph:ph + h, pw:pw + w] = x
+    return xp, ph, pw
+
+
 def conv2d_loop(x, k, bias=None, stride=1, padding="same"):
     """Scalar-loop 2-d convolution oracle over (C_in, H, W)."""
     c_in, h, w = x.shape
     c_out, _, kh, kw = k.shape
-    if padding == "same":
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    else:
-        ph = pw = 0
-    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    xp[:, ph:ph + h, pw:pw + w] = x
+    xp, ph, pw = _pad(x, k, padding)
     ho = (h + 2 * ph - kh) // stride + 1
     wo = (w + 2 * pw - kw) // stride + 1
     y = np.zeros((c_out, ho, wo), dtype=x.dtype)
@@ -34,6 +39,28 @@ def conv2d_loop(x, k, bias=None, stride=1, padding="same"):
                             acc = acc + xp[ci, oi * stride + i, oj * stride + j] * k[co, ci, i, j]
                 y[co, oi, oj] = acc
     return y
+
+
+def conv2d_backward_loop(x, k, g, stride=1, padding="same"):
+    """Per-tap loop oracle for the conv2d gradients.
+
+    g is the upstream gradient of the (C_out, H', W') output.  Returns the
+    input, kernel and bias gradients, each summed one kernel tap at a time.
+    """
+    c_in, h, w = x.shape
+    c_out, _, kh, kw = k.shape
+    xp, ph, pw = _pad(x, k, padding)
+    ho, wo = g.shape[1:]
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(k)
+    for co in range(c_out):
+        for ci in range(c_in):
+            for i in range(kh):
+                for j in range(kw):
+                    window = (ci, slice(i, i + ho * stride, stride), slice(j, j + wo * stride, stride))
+                    dxp[window] += g[co] * k[co, ci, i, j]
+                    dk[co, ci, i, j] = np.sum(g[co] * xp[window])
+    return dxp[:, ph:ph + h, pw:pw + w], dk, g.sum(axis=(1, 2))
 
 
 def maxpool2d_loop(x, pool=2):

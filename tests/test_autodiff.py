@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from streamst import autodiff as ad
 from streamst.errors import ContractError, ShapeError
@@ -121,6 +122,44 @@ class TestConv2d:
         want = helpers.conv2d_loop(x, k, b, stride=stride, padding=padding)
         assert got.shape == want.shape
         assert np.array_equal(got, want), "conv forward differs from the scalar loop"
+
+    @settings(max_examples=100, deadline=None)
+    @given(c_in=st.integers(1, 4), c_out=st.integers(1, 4), h=st.integers(3, 9),
+           w=st.integers(3, 9), kh=st.sampled_from([1, 3, 5]), kw=st.sampled_from([1, 3, 5]),
+           stride=st.integers(1, 2), padding=st.sampled_from(["same", "valid"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_loop_oracles(self, c_in, c_out, h, w, kh, kw, stride, padding, seed):
+        assume(padding == "same" or (h >= kh and w >= kw))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((c_in, h, w)).astype(np.float32)
+        k = rng.standard_normal((c_out, c_in, kh, kw)).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        want = helpers.conv2d_loop(x, k, b, stride=stride, padding=padding)
+        g = rng.standard_normal(want.shape).astype(np.float32)
+
+        def run():
+            tx, tk, tb = t(x, grad=True), t(k, grad=True), t(b, grad=True)
+            with ad.Tape() as tape:
+                y = ad.conv2d(tx, tk, tb, stride=stride, padding=padding)
+                loss = ad.sum_all(ad.mul(y, t(g)))
+            ad.backward(tape, loss)
+            return y.data, tx.grad, tk.grad, tb.grad
+
+        y, dx, dk, db = run()
+        assert np.array_equal(y, want), "conv forward differs from the scalar loop"
+        assert all(np.array_equal(a, c) for a, c in zip(run()[1:], (dx, dk, db)))
+        # Each gradient entry is a float32 sum of n products, summed in another
+        # order than the oracle's; both lie within (n + 1) * eps / 2 * sum|terms|
+        # of the exact value.  The oracle on absolute values gives sum|terms|.
+        ho, wo = want.shape[1:]
+        eps = np.finfo(np.float32).eps
+        terms = (c_out * kh * kw, ho * wo, ho * wo)
+        oracle = helpers.conv2d_backward_loop(x, k, g, stride=stride, padding=padding)
+        magnitude = helpers.conv2d_backward_loop(np.abs(x), np.abs(k), np.abs(g),
+                                                 stride=stride, padding=padding)
+        for name, got, ref, mag, n in zip(("input", "kernel", "bias"), (dx, dk, db),
+                                          oracle, magnitude, terms):
+            assert np.all(np.abs(got - ref) <= (n + 1) * eps * mag), "%s gradient off" % name
 
     def test_same_padding_shape_formula(self):
         for hh in range(3, 9):

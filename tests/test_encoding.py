@@ -150,6 +150,25 @@ class TestOverlap:
         s.feed(frames[32:], is_last=True)
         assert s.chunk_log[-1].discarded == 0
 
+    @pytest.mark.parametrize("splits", [(100, 100), (32, 16, 16), (40, 2, 30), (6,), (100, 0, 100)])
+    def test_empty_close_matches_close_on_data(self, uni_params, uni_cfg, splits):
+        """Closing with an empty feed encodes the tail the last data chunk
+        discarded, exactly as closing on that chunk would have."""
+        frames = utterance(sum(splits), uni_cfg.feat_dim, seed=17)
+        bounds = np.cumsum((0,) + splits)
+        on_data = enc.EncoderStream("ulstm-overlap", uni_params, uni_cfg)
+        empty = enc.EncoderStream("ulstm-overlap", uni_params, uni_cfg)
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            on_data.feed(frames[a:b], is_last=(i == len(splits) - 1))
+            empty.feed(frames[a:b])
+        empty.feed(frames[:0], is_last=True)
+        assert empty.positions == on_data.positions
+        assert np.array_equal(empty.outputs.data, on_data.outputs.data)
+        assert empty.chunk_log == on_data.chunk_log
+        assert empty.cost().frames_processed == on_data.cost().frames_processed
+        if splits == (100, 100):
+            assert empty.positions == 49
+
     def test_grow_only_earlier_rows_never_change(self, uni_params, uni_cfg):
         frames = utterance(96, uni_cfg.feat_dim, seed=11)
         plan = fixed_plan(96, k=16, s=16)
