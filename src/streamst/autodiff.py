@@ -245,33 +245,6 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "softmax-over-last-axis": softmax,
-    "log": log,
-    "exp": exp,
-}
-
-
-def elementwise(op_kind: str, a: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dispatch an elementwise op by name."""
-    try:
-        fn = _ELEMENTWISE[op_kind]
-    except KeyError:
-        raise ValueError("unknown elementwise op %r" % (op_kind,)) from None
-    if op_kind in ("add", "sub", "mul"):
-        if b is None:
-            raise ContractError("%s needs two operands" % op_kind)
-        return fn(a, b)
-    if b is not None:
-        raise ContractError("%s takes a single operand" % op_kind)
-    return fn(a)
-
-
 # ---------------------------------------------------------------------------
 # matmul
 

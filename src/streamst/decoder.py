@@ -6,6 +6,7 @@ emit up to a fixed number of tokens before the next read.  An end-of-sequence
 proposed while input remains is suppressed rather than committed: the decoder
 state is left untouched and reading resumes.  After the final read the
 decoder runs until it produces end-of-sequence or hits the length cap.
+Offline translation is the same loop with a single read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .encoding import EncodeCost, EncoderStream
 from .errors import ConfigError, InsufficientFramesError
 from .model import (BOS_ID, EOS_ID, NUM_SPECIALS, ModelConfig, Parameters, Vocab,
-                    decode_step, encode_utterance, init_decoder_state)
+                    decode_step, init_decoder_state)
 from .segmentation import SegmentationPlan
 
 logger = logging.getLogger(__name__)
@@ -72,7 +73,14 @@ def _token_text(vocab: Vocab, token: int) -> str:
 def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
              params: Parameters, cfg: ModelConfig, strategy: str,
              frame_ms: float = FRAME_MS) -> DecodeTrace:
-    """Run the full read/write loop for one utterance and return its trace."""
+    """Run the full read/write loop for one utterance and return its trace.
+
+    After each read the decoder writes greedily over the current encoder
+    outputs.  A read with input still to come may write policy.write_tokens
+    tokens; an end-of-sequence it proposes is counted as suppressed and left
+    uncommitted.  The final read writes until end-of-sequence or the length
+    cap, and reaching the cap there marks the trace truncated.
+    """
     frames = np.asarray(frames, dtype=np.float32)
     if len(frames) != plan.total_frames:
         raise ConfigError("plan covers %d frames, utterance has %d"
@@ -99,39 +107,28 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
                 raise InsufficientFramesError(
                     "utterance %r yields no encoder positions" % (plan.utt_id,))
             continue  # not enough input yet for a single position
-        if not is_last:
-            for _ in range(policy.write_tokens):
-                if len(out_ids) >= policy.cap(stream.positions):
-                    break
-                logits, new_state, _ = decode_step(prev, state, enc, params, cfg)
-                token = int(np.argmax(logits.data[0]))
-                if token == EOS_ID:
+        cap = policy.cap(stream.positions)
+        budget = len(out_ids) + policy.write_tokens
+        while is_last or len(out_ids) < budget:
+            if len(out_ids) >= cap:
+                if is_last:
+                    truncated = True
+                    logger.warning("hypothesis for %r hit the length cap", plan.utt_id)
+                break
+            logits, new_state, _ = decode_step(prev, state, enc, params, cfg)
+            token = int(np.argmax(logits.data[0]))
+            if token == EOS_ID:
+                if not is_last:
                     suppressed += 1
                     logger.debug("suppressed end-of-sequence on %r at g=%d",
                                  plan.utt_id, bound)
-                    break  # state uncommitted; go read more input
-                state = new_state
-                prev = token
-                out_ids.append(token)
-                events.append({"utt": plan.utt_id, "event": "W",
-                               "token": _token_text(vocab, token),
-                               "g": bound, "ms": bound * frame_ms})
-        else:
-            while True:
-                if len(out_ids) >= policy.cap(stream.positions):
-                    truncated = True
-                    logger.warning("hypothesis for %r hit the length cap", plan.utt_id)
-                    break
-                logits, new_state, _ = decode_step(prev, state, enc, params, cfg)
-                token = int(np.argmax(logits.data[0]))
-                if token == EOS_ID:
-                    break
-                state = new_state
-                prev = token
-                out_ids.append(token)
-                events.append({"utt": plan.utt_id, "event": "W",
-                               "token": _token_text(vocab, token),
-                               "g": bound, "ms": bound * frame_ms})
+                break  # mid-stream the state stays uncommitted; go read more input
+            state = new_state
+            prev = token
+            out_ids.append(token)
+            events.append({"utt": plan.utt_id, "event": "W",
+                           "token": _token_text(vocab, token),
+                           "g": bound, "ms": bound * frame_ms})
     return DecodeTrace(utt_id=plan.utt_id, events=events,
                        hypothesis=vocab.decode(out_ids), cost=stream.cost(),
                        frame_ms=frame_ms, total_frames=plan.total_frames,
@@ -140,22 +137,16 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
 
 def offline_translate(frames: np.ndarray, params: Parameters, cfg: ModelConfig,
                       policy: DecodePolicy | None = None) -> str:
-    """Greedy decoding over the fully encoded utterance."""
-    policy = policy or DecodePolicy()
-    vocab = Vocab(cfg.vocab)
-    enc = encode_utterance(np.asarray(frames, dtype=np.float32), params, cfg)
-    cap = policy.cap(enc.shape[0])
-    state = init_decoder_state(cfg)
-    prev = BOS_ID
-    out_ids: list = []
-    while len(out_ids) < cap:
-        logits, state, _ = decode_step(prev, state, enc, params, cfg)
-        token = int(np.argmax(logits.data[0]))
-        if token == EOS_ID:
-            break
-        prev = token
-        out_ids.append(token)
-    return vocab.decode(out_ids)
+    """Greedy decoding over the fully encoded utterance.
+
+    This is simulate with a plan that reads every frame at once, through the
+    re-encode strategy of the model's direction: the one read encodes the
+    utterance exactly as offline encoding does, and the decoder then writes
+    until end-of-sequence or the length cap.
+    """
+    strategy = "blstm-reencode" if cfg.bidirectional else "ulstm-reencode"
+    plan = SegmentationPlan("", len(frames), (len(frames),))
+    return simulate(frames, plan, policy or DecodePolicy(), params, cfg, strategy).hypothesis
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Incremental encoding strategies for streaming input.
 
-Three strategies are provided.  "blstm-reencode" and "ulstm-reencode" rerun
-the front end and encoder over the whole buffered prefix after every read;
-the bidirectional variant pays twice per buffered frame, and the
-unidirectional variant produces outputs bit-identical to encoding the same
-prefix offline.  "ulstm-overlap" encodes only the frames read since the last
-chunk plus a short overlap reaching back into already-encoded input, then
-drops a quarter of the overlap worth of trailing positions, which were
-computed against the zero padding at the chunk edge and would otherwise be
-corrupted.  Its outputs grow monotonically and earlier positions are never
-revised.
+Every feed that adds frames runs one encode over a chunk of the buffer.
+After an encode at buffered length g, the next chunk starts at g - reach and
+runs to the end of the buffer.  The three strategies differ only in that
+reach, in whether the encoder starts fresh or from the state the last chunk
+carried out, and in whether new outputs replace or extend the old ones.
+
+"blstm-reencode" and "ulstm-reencode" reach over the whole buffer, start
+fresh and replace.  The bidirectional variant pays twice per buffered frame;
+the unidirectional variant produces outputs bit-identical to encoding the
+same prefix offline.  "ulstm-overlap" reaches back over half the frames its
+last chunk added, carries state and appends.  It drops a quarter of that
+overlap worth of trailing positions, which were computed against the zero
+padding at the chunk edge and would otherwise be corrupted, so its outputs
+grow monotonically and earlier positions are never revised.
 """
 
 from __future__ import annotations
@@ -89,11 +93,7 @@ class EncoderStream:
         self.cfg = cfg
         self._buffer = np.zeros((0, cfg.feat_dim), dtype=np.float32)
         self._closed = False
-        # re-encode strategies replace this tensor wholesale
-        self._full_outputs: ad.Tensor | None = None
-        # overlap strategy appends blocks of rows, earlier rows never change
-        self._blocks: list = []
-        self._stacked: ad.Tensor | None = None
+        self._outputs: ad.Tensor | None = None  # (P, enc_out) rows encoded so far
         self._carried: LstmState | None = None
         self._tail: np.ndarray | None = None  # feature rows the last chunk discarded
         self._offset = 0       # where the next chunk starts in the buffer
@@ -112,21 +112,13 @@ class EncoderStream:
 
     @property
     def positions(self) -> int:
-        if self.strategy == "ulstm-overlap":
-            return sum(b.shape[0] for b in self._blocks)
-        return 0 if self._full_outputs is None else self._full_outputs.shape[0]
+        return 0 if self._outputs is None else self._outputs.shape[0]
 
     @property
     def outputs(self) -> ad.Tensor | None:
         """Current encoder outputs as a (P, enc_out) tensor, None before the
         first position exists."""
-        if self.strategy != "ulstm-overlap":
-            return self._full_outputs
-        if not self._blocks:
-            return None
-        if self._stacked is None or self._stacked.shape[0] != self.positions:
-            self._stacked = ad.Tensor(np.concatenate(self._blocks, axis=0))
-        return self._stacked
+        return self._outputs
 
     def cost(self) -> EncodeCost:
         return EncodeCost(self._frames_processed, len(self.chunk_log), self._wall_ns)
@@ -136,9 +128,10 @@ class EncoderStream:
 
         Returns the updated outputs.  Chunks shorter than the front end
         window are buffered until enough frames arrive; a final chunk that
-        stays shorter is dropped.  An empty final feed to an overlap stream
-        encodes the positions its last chunk discarded, and that chunk's
-        record then counts them as kept.
+        stays shorter is dropped.  A feed without frames encodes nothing,
+        except that an empty final feed to an overlap stream encodes the
+        positions its last chunk discarded, and that chunk's record then
+        counts them as kept.
         """
         if self._closed:
             raise StreamClosedError("stream already received its final chunk")
@@ -150,27 +143,11 @@ class EncoderStream:
         if is_last:
             self._closed = True
         t0 = time.perf_counter_ns()
-        if self.strategy == "ulstm-overlap":
-            self._encode_overlap()
-        else:
-            self._reencode()
+        self._encode()
         self._wall_ns += time.perf_counter_ns() - t0
         return self.outputs
 
-    # -- strategies ---------------------------------------------------------
-
-    def _reencode(self) -> None:
-        g = len(self._buffer)
-        if g < MIN_CHUNK_FRAMES:
-            return
-        feats = vgg_forward(self._buffer, self.params, self.cfg)
-        outputs, _ = encoder_forward(feats, self.params, self.cfg)
-        self._full_outputs = outputs
-        cost = g * (2 if self.cfg.bidirectional else 1)
-        self._frames_processed += cost
-        self.chunk_log.append(ChunkRecord(0, g, outputs.shape[0], 0))
-
-    def _encode_overlap(self) -> None:
+    def _encode(self) -> None:
         g = len(self._buffer)
         new = g - self._encoded_to
         if new <= 0:
@@ -182,20 +159,29 @@ class EncoderStream:
         chunk = self._buffer[self._offset:g]
         if len(chunk) < MIN_CHUNK_FRAMES:
             return  # wait for more frames; a closing tail this short is dropped
-        overlap = _half(new)
-        discard = 0 if self._closed else _quarter(overlap)
+        if self.strategy == "ulstm-overlap":
+            reach, replace = _half(new), False
+        else:
+            reach, replace = g, True
+        # replaced outputs are recomputed by the next encode, so only
+        # appended ones need their edge-corrupted positions held back
+        discard = 0 if self._closed or replace else _quarter(reach)
         feats = vgg_forward(chunk, self.params, self.cfg)
         total = feats.shape[0]
         kept = max(0, total - discard)
+        if replace:
+            self._outputs = self._carried = None
         if kept > 0:
             self._encode_rows(feats.data[:kept])
         self._tail = feats.data[kept:] if kept < total else None
-        self._frames_processed += len(chunk)
+        self._frames_processed += len(chunk) * (2 if self.cfg.bidirectional else 1)
         self.chunk_log.append(ChunkRecord(self._offset, len(chunk), kept, total - kept))
         self._encoded_to = g
-        self._offset = g - overlap
+        self._offset = g - reach
 
     def _encode_rows(self, rows: np.ndarray) -> None:
         outputs, self._carried = encoder_forward(ad.Tensor(rows), self.params, self.cfg,
                                                  init=self._carried)
-        self._blocks.append(outputs.data)
+        if self._outputs is not None:
+            outputs = ad.Tensor(np.concatenate([self._outputs.data, outputs.data], axis=0))
+        self._outputs = outputs

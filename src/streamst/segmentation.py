@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, EmptyUtteranceError
 
@@ -33,8 +33,6 @@ class SegmentationPlan:
     utt_id: str
     total_frames: int
     boundaries: tuple
-    policy: str = "fixed"
-    params: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.total_frames < 1:
@@ -76,8 +74,7 @@ def fixed_plan(total_frames: int, k: int, s: int, utt_id: str = "") -> Segmentat
     bounds = [first]
     while bounds[-1] < total_frames:
         bounds.append(min(bounds[-1] + s, total_frames))
-    return SegmentationPlan(utt_id, total_frames, tuple(bounds), "fixed",
-                            {"k": k, "s": s})
+    return SegmentationPlan(utt_id, total_frames, tuple(bounds))
 
 
 def oracle_word_plan(total_frames: int, words: list, k: int = 0,
@@ -112,7 +109,7 @@ def oracle_word_plan(total_frames: int, words: list, k: int = 0,
             bounds.append(e)
     if not bounds or bounds[-1] < total_frames:
         bounds.append(total_frames)
-    return SegmentationPlan(utt_id, total_frames, tuple(bounds), "words", {"k": k})
+    return SegmentationPlan(utt_id, total_frames, tuple(bounds))
 
 
 def random_plan(total_frames: int, low: int, high: int, seed: int,
@@ -129,8 +126,7 @@ def random_plan(total_frames: int, low: int, high: int, seed: int,
     while cum < total_frames:
         cum = min(cum + rng.randint(low, high), total_frames)
         bounds.append(cum)
-    return SegmentationPlan(utt_id, total_frames, tuple(bounds), "random",
-                            {"low": low, "high": high, "seed": seed})
+    return SegmentationPlan(utt_id, total_frames, tuple(bounds))
 
 
 # ---------------------------------------------------------------------------

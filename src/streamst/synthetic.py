@@ -242,9 +242,6 @@ class LoadedCorpus:
     word_spans: dict     # utt_id -> list of WordSpan (no text)
     alignments: list = field(default_factory=list)
 
-    def frames_of(self, utt_id: str) -> np.ndarray:
-        return self.features[utt_id]
-
 
 def as_loaded(corpus: list) -> LoadedCorpus:
     """View generated utterances through the on-disk corpus interface."""

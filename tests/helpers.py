@@ -3,12 +3,19 @@
 These are written independently of the library kernels on purpose.  The
 convolution and pooling references iterate one output element at a time with
 plain python loops; the gradient check runs the same computation graph in
-float64 and differentiates it numerically with central differences.
+float64 and differentiates it numerically with central differences.  The
+decoding references keep separate greedy loops for mid-stream reads, the
+final read and offline translation.
 """
 
 import numpy as np
 
 from streamst import autodiff as ad
+from streamst import decoder as dec
+from streamst.encoding import EncoderStream
+from streamst.errors import ConfigError, InsufficientFramesError
+from streamst.model import (BOS_ID, EOS_ID, Vocab, decode_step, encode_utterance,
+                            init_decoder_state)
 
 
 def _pad(x, k, padding):
@@ -61,6 +68,89 @@ def conv2d_backward_loop(x, k, g, stride=1, padding="same"):
                     dxp[window] += g[co] * k[co, ci, i, j]
                     dk[co, ci, i, j] = np.sum(g[co] * xp[window])
     return dxp[:, ph:ph + h, pw:pw + w], dk, g.sum(axis=(1, 2))
+
+
+def simulate_loop(frames, plan, policy, params, cfg, strategy, frame_ms=dec.FRAME_MS):
+    """Read/write loop oracle with one greedy loop per kind of read."""
+    frames = np.asarray(frames, dtype=np.float32)
+    if len(frames) != plan.total_frames:
+        raise ConfigError("plan covers %d frames, utterance has %d"
+                          % (plan.total_frames, len(frames)))
+    vocab = Vocab(cfg.vocab)
+    stream = EncoderStream(strategy, params, cfg)
+    state = init_decoder_state(cfg)
+    prev = BOS_ID
+    out_ids = []
+    events = []
+    suppressed = 0
+    truncated = False
+    consumed = 0
+    n_bounds = len(plan.boundaries)
+    for idx, bound in enumerate(plan.boundaries):
+        is_last = idx == n_bounds - 1
+        stream.feed(frames[consumed:bound], is_last=is_last)
+        events.append({"utt": plan.utt_id, "event": "R", "frames": bound - consumed,
+                       "g": bound, "ms": bound * frame_ms})
+        consumed = bound
+        enc = stream.outputs
+        if enc is None:
+            if is_last:
+                raise InsufficientFramesError(
+                    "utterance %r yields no encoder positions" % (plan.utt_id,))
+            continue
+        if not is_last:
+            for _ in range(policy.write_tokens):
+                if len(out_ids) >= policy.cap(stream.positions):
+                    break
+                logits, new_state, _ = decode_step(prev, state, enc, params, cfg)
+                token = int(np.argmax(logits.data[0]))
+                if token == EOS_ID:
+                    suppressed += 1
+                    break
+                state = new_state
+                prev = token
+                out_ids.append(token)
+                events.append({"utt": plan.utt_id, "event": "W",
+                               "token": dec._token_text(vocab, token),
+                               "g": bound, "ms": bound * frame_ms})
+        else:
+            while True:
+                if len(out_ids) >= policy.cap(stream.positions):
+                    truncated = True
+                    break
+                logits, new_state, _ = decode_step(prev, state, enc, params, cfg)
+                token = int(np.argmax(logits.data[0]))
+                if token == EOS_ID:
+                    break
+                state = new_state
+                prev = token
+                out_ids.append(token)
+                events.append({"utt": plan.utt_id, "event": "W",
+                               "token": dec._token_text(vocab, token),
+                               "g": bound, "ms": bound * frame_ms})
+    return dec.DecodeTrace(utt_id=plan.utt_id, events=events,
+                           hypothesis=vocab.decode(out_ids), cost=stream.cost(),
+                           frame_ms=frame_ms, total_frames=plan.total_frames,
+                           truncated=truncated, suppressed_eos=suppressed)
+
+
+def offline_translate_loop(frames, params, cfg, policy=None):
+    """Greedy decoding oracle over the offline encoding of the utterance."""
+    policy = policy or dec.DecodePolicy()
+    vocab = Vocab(cfg.vocab)
+    enc = encode_utterance(np.asarray(frames, dtype=np.float32), params, cfg)
+    cap = policy.cap(enc.shape[0])
+    state = init_decoder_state(cfg)
+    prev = BOS_ID
+    out_ids = []
+    while len(out_ids) < cap:
+        logits, state, _ = decode_step(prev, state, enc, params, cfg)
+        token = int(np.argmax(logits.data[0]))
+        if token == EOS_ID:
+            break
+        prev = token
+        out_ids.append(token)
+    return vocab.decode(out_ids)
 
 
 def maxpool2d_loop(x, pool=2):

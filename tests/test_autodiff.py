@@ -74,22 +74,6 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             ad.add(t(np.zeros((2, 3))), t(np.zeros((2, 2))))
 
-    def test_dispatcher_matches_direct_call(self):
-        x = t([[0.3, -0.2]])
-        np.testing.assert_array_equal(ad.elementwise("tanh", x).data, ad.tanh(x).data)
-        y = t([[1.0, 2.0]])
-        np.testing.assert_array_equal(ad.elementwise("add", x, y).data, ad.add(x, y).data)
-
-    def test_dispatcher_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ad.elementwise("relu", t([0.0]))
-
-    def test_dispatcher_arity(self):
-        with pytest.raises(ContractError):
-            ad.elementwise("add", t([0.0]))
-        with pytest.raises(ContractError):
-            ad.elementwise("tanh", t([0.0]), t([0.0]))
-
     def test_exp_log_roundtrip(self):
         x = t([[0.5, 1.5, 2.5]])
         back = ad.log(ad.exp(x)).data

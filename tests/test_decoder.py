@@ -1,14 +1,18 @@
 """Tests for the online read/write controller and trace files."""
 
 import copy
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import helpers
 from streamst import decoder as dec
 from streamst import model as md
+from streamst.encoding import STRATEGIES
 from streamst.errors import ConfigError, InsufficientFramesError
-from streamst.segmentation import fixed_plan
+from streamst.segmentation import SegmentationPlan, fixed_plan
 
 
 VOCAB = "abcde "
@@ -167,6 +171,45 @@ class TestEosHandling:
         for bound in plan.boundaries[:-1]:
             n = len([e for e in trace.events if e["event"] == "W" and e["g"] == bound])
             assert n == 3
+
+    def test_offline_cap_logs_warning(self, uni_cfg, caplog):
+        params = rigged_params(uni_cfg, seed=13, eos_logit=-1e9)
+        frames = utterance(40, uni_cfg.feat_dim, seed=13)
+        policy = dec.DecodePolicy(max_target_factor=0.0, max_target_slack=5)
+        with caplog.at_level(logging.WARNING, logger="streamst.decoder"):
+            hyp = dec.offline_translate(frames, params, uni_cfg, policy)
+        assert hyp == helpers.offline_translate_loop(frames, params, uni_cfg, policy)
+        assert "hit the length cap" in caplog.text
+
+
+class TestAgainstLoopOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(strategy=st.sampled_from(STRATEGIES), t_len=st.integers(4, 72),
+           cuts=st.lists(st.integers(1, 71), max_size=8), write_tokens=st.integers(1, 3),
+           eos_logit=st.sampled_from([None, 1e9, -1e9]), seed=st.integers(0, 3),
+           small_cap=st.booleans())
+    def test_simulate_and_offline_match(self, uni_cfg, bi_cfg, strategy, t_len, cuts,
+                                        write_tokens, eos_logit, seed, small_cap):
+        """Random plans, write budgets and caps, with free or rigged
+        end-of-sequence, against the one-loop-per-read-kind references."""
+        cfg = bi_cfg if strategy == "blstm-reencode" else uni_cfg
+        params = (md.create_parameters(cfg, seed=seed) if eos_logit is None
+                  else rigged_params(cfg, seed, eos_logit))
+        policy = dec.DecodePolicy(write_tokens=write_tokens,
+                                  max_target_factor=0.5 if small_cap else 3.0,
+                                  max_target_slack=0 if small_cap else 10)
+        frames = utterance(t_len, cfg.feat_dim, seed=seed)
+        bounds = tuple(sorted({c for c in cuts if c < t_len})) + (t_len,)
+        plan = SegmentationPlan("h", t_len, bounds)
+        got = dec.simulate(frames, plan, policy, params, cfg, strategy)
+        want = helpers.simulate_loop(frames, plan, policy, params, cfg, strategy)
+        assert got.events == want.events
+        assert got.hypothesis == want.hypothesis
+        assert got.suppressed_eos == want.suppressed_eos
+        assert got.truncated == want.truncated
+        assert got.cost.frames_processed == want.cost.frames_processed
+        assert dec.offline_translate(frames, params, cfg, policy) == \
+            helpers.offline_translate_loop(frames, params, cfg, policy)
 
 
 class TestLatencyShape:

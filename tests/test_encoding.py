@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamst import encoding as enc
 from streamst import model as md
@@ -125,6 +126,16 @@ class TestReencode:
         assert second.shape[0] > first.shape[0]
         assert not np.array_equal(second[:first.shape[0]], first)
 
+    def test_empty_feed_does_not_reencode(self, uni_params, uni_cfg):
+        """A feed without frames, closing or not, leaves a re-encode stream
+        as it was: no chunk, no frames processed, the same outputs."""
+        frames = utterance(20, uni_cfg.feat_dim, seed=19)
+        s = enc.EncoderStream("ulstm-reencode", uni_params, uni_cfg)
+        first = s.feed(frames)
+        for is_last in (False, True):
+            assert s.feed(frames[:0], is_last=is_last) is first
+            assert (s.cost().frames_processed, s.cost().chunks) == (20, 1)
+
     def test_position_counts_follow_prefix_length(self, uni_params, uni_cfg):
         frames = utterance(110, uni_cfg.feat_dim, seed=9)
         s = enc.EncoderStream("ulstm-reencode", uni_params, uni_cfg)
@@ -225,6 +236,53 @@ class TestOverlap:
         fresh = md.encode_utterance(chunk, uni_params, uni_cfg)
         block = st.outputs.data[st.chunk_log[0].kept:]
         assert not np.array_equal(block, fresh.data[:rec.kept])
+
+
+class TestArbitraryFeeds:
+    @settings(max_examples=100, deadline=None)
+    @given(t_len=st.integers(0, 200), cuts=st.lists(st.integers(0, 200), max_size=12),
+           empty_close=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_stream_invariants(self, uni_params, uni_cfg, bi_params, bi_cfg,
+                               t_len, cuts, empty_close, seed):
+        """Any split of T frames into feeds, empty and sub-window ones
+        included, optionally closed by an empty feed.  An empty feed that
+        does not close changes nothing."""
+        frames = utterance(t_len, uni_cfg.feat_dim, seed=seed)
+        bounds = sorted(min(c, t_len) for c in cuts) + [t_len]
+        feeds = list(zip([0] + bounds[:-1], bounds))
+        if empty_close:
+            feeds.append((t_len, t_len))
+        streams = {"ulstm-reencode": enc.EncoderStream("ulstm-reencode", uni_params, uni_cfg),
+                   "blstm-reencode": enc.EncoderStream("blstm-reencode", bi_params, bi_cfg),
+                   "ulstm-overlap": enc.EncoderStream("ulstm-overlap", uni_params, uni_cfg)}
+        grown = None
+        for i, (a, b) in enumerate(feeds):
+            is_last = i == len(feeds) - 1
+            for s in streams.values():
+                before = (s.outputs, s.cost().frames_processed, len(s.chunk_log))
+                s.feed(frames[a:b], is_last=is_last)
+                if a == b and not is_last:
+                    assert (s.outputs, s.cost().frames_processed, len(s.chunk_log)) == before
+            out = streams["ulstm-reencode"].outputs
+            if b < enc.MIN_CHUNK_FRAMES:
+                assert out is None
+            else:
+                assert out.data.tobytes() == \
+                    md.encode_utterance(frames[:b], uni_params, uni_cfg).data.tobytes()
+            out = streams["ulstm-overlap"].outputs
+            if grown is not None:
+                assert out is not None
+                assert out.data[:len(grown)].tobytes() == grown.tobytes()
+            grown = None if out is None else out.data.copy()
+        final = streams["blstm-reencode"].outputs
+        if t_len < enc.MIN_CHUNK_FRAMES:
+            assert final is None
+        else:
+            assert final.data.tobytes() == \
+                md.encode_utterance(frames, bi_params, bi_cfg).data.tobytes()
+        for name, s in streams.items():
+            per_frame = 2 if name == "blstm-reencode" else 1
+            assert s.cost().frames_processed == per_frame * sum(r.length for r in s.chunk_log)
 
 
 class TestCost:

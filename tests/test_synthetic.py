@@ -254,7 +254,7 @@ def test_corpus_directory_round_trip(tmp_path, small_spec):
     loaded = load_corpus(tmp_path / "data")
     assert loaded.ids == [u.utt_id for u in corpus]
     for utt in corpus:
-        assert np.array_equal(loaded.frames_of(utt.utt_id), utt.frames)
+        assert np.array_equal(loaded.features[utt.utt_id], utt.frames)
         assert loaded.sources[utt.utt_id] == utt.source
         assert loaded.targets[utt.utt_id] == utt.target
         extents = [(sp.start, sp.end) for sp in loaded.word_spans[utt.utt_id]]
