@@ -3,6 +3,8 @@
 Tensors carry float32 data by default.  Operations executed while a Tape is
 active are recorded in execution order; backward() replays the tape in
 reverse and accumulates gradients into every tensor with requires_grad set.
+With no tape active an op costs its numpy forward plus one attribute read,
+so inference pays nothing for recording.
 Convolution and pooling forwards are written so that their floating-point
 accumulation order matches a scalar loop exactly, which downstream streaming
 equivalence checks rely on.
@@ -16,15 +18,15 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-_state = threading.local()
+
+class _State(threading.local):
+    """Per-thread stack of active tapes; the innermost records."""
+
+    def __init__(self):
+        self.tapes = []
 
 
-def _tape_stack() -> list:
-    stack = getattr(_state, "tapes", None)
-    if stack is None:
-        stack = []
-        _state.tapes = stack
-    return stack
+_state = _State()
 
 
 class Tensor:
@@ -71,11 +73,11 @@ class Tape:
         self.ops = []  # list of (output, inputs, rule) in execution order
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _state.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
+        stack = _state.tapes
         if not stack or stack[-1] is not self:
             raise ContractError("tape exited out of order")
         stack.pop()
@@ -85,10 +87,8 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: tuple, rule) -> None:
-    stack = _tape_stack()
-    if not stack:
-        return
-    if not any(t.requires_grad for t in inputs):
+    stack = _state.tapes
+    if not stack or not any(t.requires_grad for t in inputs):
         return
     out.requires_grad = True
     stack[-1].ops.append((out, inputs, rule))
@@ -116,13 +116,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # exactly or be missing/size 1)
 
 
-def _broadcastable(sa: tuple, sb: tuple) -> bool:
-    for da, db in zip(reversed(sa), reversed(sb)):
-        if da != db and da != 1 and db != 1:
-            return False
-    return True
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to the shape of the operand it belongs to."""
     extra = g.ndim - len(shape)
@@ -144,40 +137,35 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 # binary elementwise ops
 
 
-def _binary(a, b, fwd, rule_name: str):
+def _binary(a, b, fwd, grads):
+    """fwd(x, y) on the data; grads(g, a, b) gives the operands' gradients."""
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
         raise TypeError("operands must be Tensors")
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError("cannot broadcast %r with %r" % (a.shape, b.shape))
-    out = Tensor(fwd(a.data, b.data), dtype=a.data.dtype)
+    try:
+        y = fwd(a.data, b.data)
+    except ValueError:  # numpy's own broadcast check
+        raise ShapeError("cannot broadcast %r with %r" % (a.data.shape, b.data.shape)) from None
+    out = Tensor(y, dtype=a.data.dtype)
 
-    if rule_name == "add":
-        def rule(g, inputs):
-            _accum(inputs[0], g)
-            _accum(inputs[1], g)
-    elif rule_name == "sub":
-        def rule(g, inputs):
-            _accum(inputs[0], g)
-            _accum(inputs[1], -g)
-    else:  # mul
-        def rule(g, inputs):
-            _accum(inputs[0], g * inputs[1].data)
-            _accum(inputs[1], g * inputs[0].data)
+    def rule(g, inputs):
+        ga, gb = grads(g, *inputs)
+        _accum(inputs[0], ga)
+        _accum(inputs[1], gb)
 
     _record(out, (a, b), rule)
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, np.add, "add")
+    return _binary(a, b, np.add, lambda g, x, y: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, np.subtract, "sub")
+    return _binary(a, b, np.subtract, lambda g, x, y: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, np.multiply, "mul")
+    return _binary(a, b, np.multiply, lambda g, x, y: (g * y.data, g * x.data))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +175,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))  # bounded by 1, no overflow on either branch
-    y = np.where(x >= 0, 1 / (1 + e), e / (1 + e)).astype(x.dtype)
+    y = np.where(x >= 0, 1, e) / (1 + e)
     out = Tensor(y, dtype=x.dtype)
 
     def rule(g, inputs):
@@ -252,7 +240,7 @@ def softmax(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError("matmul needs 2-d operands, got %r and %r" % (a.shape, b.shape))
-    if a.shape[1] != b.shape[0]:
+    if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError("matmul mismatch: %r by %r" % (a.shape, b.shape))
     out = Tensor(a.data @ b.data, dtype=a.data.dtype)
 
@@ -401,7 +389,7 @@ def transpose(a: Tensor) -> Tensor:
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     """Slice [start:stop] of the last axis."""
-    n = a.shape[-1]
+    n = a.data.shape[-1]
     if not (0 <= start < stop <= n):
         raise ShapeError("slice [%d:%d] out of range for axis of size %d" % (start, stop, n))
     out = Tensor(a.data[..., start:stop].copy(), dtype=a.data.dtype)
@@ -418,10 +406,10 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the last axis."""
-    if a.shape[:-1] != b.shape[:-1]:
+    if a.data.shape[:-1] != b.data.shape[:-1]:
         raise ShapeError("cannot concatenate %r with %r" % (a.shape, b.shape))
     out = Tensor(np.concatenate([a.data, b.data], axis=-1), dtype=a.data.dtype)
-    na = a.shape[-1]
+    na = a.data.shape[-1]
 
     def rule(g, inputs):
         _accum(inputs[0], g[..., :na])
@@ -436,7 +424,7 @@ def stack_rows(rows: list) -> Tensor:
     if not rows:
         raise ShapeError("cannot stack zero rows")
     for r in rows:
-        if r.data.ndim != 2 or r.shape[0] != 1:
+        if r.data.ndim != 2 or r.data.shape[0] != 1:
             raise ShapeError("stack_rows expects (1, W) rows, got %r" % (r.shape,))
     out = Tensor(np.concatenate([r.data for r in rows], axis=0), dtype=rows[0].data.dtype)
 
@@ -452,7 +440,7 @@ def row(a: Tensor, index: int) -> Tensor:
     """Extract row `index` of a 2-d tensor as a (1, W) tensor."""
     if a.data.ndim != 2:
         raise ShapeError("row needs a 2-d tensor, got %r" % (a.shape,))
-    if not (0 <= index < a.shape[0]):
+    if not (0 <= index < a.data.shape[0]):
         raise ShapeError("row %d out of range for %r" % (index, a.shape))
     out = Tensor(a.data[index:index + 1].copy(), dtype=a.data.dtype)
 

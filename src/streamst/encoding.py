@@ -62,7 +62,7 @@ class EncodeCost:
     wall_ns: int           # wall clock spent encoding
 
 
-@dataclass
+@dataclass(slots=True)
 class ChunkRecord:
     """One encoder invocation: which frames went in, what came out."""
 
@@ -77,7 +77,8 @@ class EncoderStream:
 
     Frames arrive through feed(); encoder outputs accumulate according to the
     configured strategy.  Feeding after the final chunk raises
-    StreamClosedError.
+    StreamClosedError.  A closed stream lets go of its input frames and
+    keeps its outputs, chunk log and cost.
     """
 
     def __init__(self, strategy: str, params: Parameters, cfg: ModelConfig):
@@ -91,7 +92,8 @@ class EncoderStream:
         self.strategy = strategy
         self.params = params
         self.cfg = cfg
-        self._buffer = np.zeros((0, cfg.feat_dim), dtype=np.float32)
+        self._buffer: np.ndarray | None = np.zeros((0, cfg.feat_dim), dtype=np.float32)
+        self._fed = 0  # frames fed so far, the first rows of a buffer that grows by doubling
         self._closed = False
         self._outputs: ad.Tensor | None = None  # (P, enc_out) rows encoded so far
         self._carried: LstmState | None = None
@@ -108,7 +110,7 @@ class EncoderStream:
 
     @property
     def frames_buffered(self) -> int:
-        return len(self._buffer)
+        return self._fed
 
     @property
     def positions(self) -> int:
@@ -138,17 +140,24 @@ class EncoderStream:
         frames = np.asarray(frames, dtype=np.float32)
         if frames.ndim != 2 or frames.shape[1] != self.cfg.feat_dim:
             raise ConfigError("frames must be (n, %d), got %r" % (self.cfg.feat_dim, frames.shape))
-        if len(frames):
-            self._buffer = np.concatenate([self._buffer, frames], axis=0)
+        fed = self._fed + len(frames)
+        if fed > len(self._buffer):
+            grown = np.empty((max(fed, 2 * len(self._buffer)), self.cfg.feat_dim), dtype=np.float32)
+            grown[:self._fed] = self._buffer[:self._fed]
+            self._buffer = grown
+        self._buffer[self._fed:fed] = frames
+        self._fed = fed
         if is_last:
             self._closed = True
         t0 = time.perf_counter_ns()
         self._encode()
         self._wall_ns += time.perf_counter_ns() - t0
+        if self._closed:
+            self._buffer = self._tail = None  # no encode can follow
         return self.outputs
 
     def _encode(self) -> None:
-        g = len(self._buffer)
+        g = self._fed
         new = g - self._encoded_to
         if new <= 0:
             if self._closed and self._tail is not None:

@@ -219,15 +219,18 @@ def vgg_forward(frames, params: Parameters, cfg: ModelConfig) -> ad.Tensor:
 def lstm_step(x: ad.Tensor, state, wx: ad.Tensor, wh: ad.Tensor, b: ad.Tensor):
     """One LSTM cell update.  state is an (h, c) pair; returns the new pair.
 
-    Gate layout along the 4H axis is input, forget, cell, output.
+    Gate layout along the 4H axis is input, forget, cell, output.  One
+    sigmoid covers the whole row and the i, f and o gates are sliced out of
+    it; elementwise ops give the same bits on a row as on its slices.
     """
     h_prev, c_prev = state
-    n = wh.shape[0]
+    n = wh.data.shape[0]
     gates = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h_prev, wh)), b)
-    i = ad.sigmoid(ad.slice_last(gates, 0, n))
-    f = ad.sigmoid(ad.slice_last(gates, n, 2 * n))
+    sig = ad.sigmoid(gates)
+    i = ad.slice_last(sig, 0, n)
+    f = ad.slice_last(sig, n, 2 * n)
     g = ad.tanh(ad.slice_last(gates, 2 * n, 3 * n))
-    o = ad.sigmoid(ad.slice_last(gates, 3 * n, 4 * n))
+    o = ad.slice_last(sig, 3 * n, 4 * n)
     c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
     h = ad.mul(o, ad.tanh(c))
     return h, c

@@ -5,7 +5,8 @@ convolution and pooling references iterate one output element at a time with
 plain python loops; the gradient check runs the same computation graph in
 float64 and differentiates it numerically with central differences.  The
 decoding references keep separate greedy loops for mid-stream reads, the
-final read and offline translation.
+final read and offline translation; the LSTM reference activates each gate
+slice on its own.
 """
 
 import numpy as np
@@ -151,6 +152,29 @@ def offline_translate_loop(frames, params, cfg, policy=None):
         prev = token
         out_ids.append(token)
     return vocab.decode(out_ids)
+
+
+def _sigmoid_two_branch(v):
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1 / (1 + e), e / (1 + e)).astype(v.dtype)
+
+
+def lstm_step_loop(x, h_prev, c_prev, wx, wh, b):
+    """LSTM cell oracle on plain arrays, one activation per gate slice.
+
+    Loops over the input, forget, cell and output slices of the gate row and
+    applies each its own sigmoid or tanh, with the sigmoid written as two
+    branches selected after both are computed.  Returns (h, c).
+    """
+    n = wh.shape[0]
+    gates = (x @ wx + h_prev @ wh) + b
+    act = []
+    for k, fn in enumerate((_sigmoid_two_branch, _sigmoid_two_branch, np.tanh,
+                            _sigmoid_two_branch)):
+        act.append(fn(gates[..., k * n:(k + 1) * n].copy()))
+    i, f, g, o = act
+    c = f * c_prev + i * g
+    return o * np.tanh(c), c
 
 
 def maxpool2d_loop(x, pool=2):

@@ -1,6 +1,7 @@
 """Tests for the reverse-mode autodiff core."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -71,8 +72,9 @@ class TestElementwise:
         assert out.data.tolist() == [[11.0, 22.0], [13.0, 24.0]]
 
     def test_broadcast_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            ad.add(t(np.zeros((2, 3))), t(np.zeros((2, 2))))
+        for op in (ad.add, ad.sub, ad.mul):
+            with pytest.raises(ShapeError, match=r"^cannot broadcast \(2, 3\) with \(2, 2\)$"):
+                op(t(np.zeros((2, 3))), t(np.zeros((2, 2))))
 
     def test_exp_log_roundtrip(self):
         x = t([[0.5, 1.5, 2.5]])
@@ -304,6 +306,87 @@ class TestBackward:
         ad.backward(tape, loss)
         assert w.grad.shape == (1, 3)
         np.testing.assert_array_equal(w.grad, np.full((1, 3), 4.0, dtype=np.float32))
+
+
+def one_call_of_each_op(a, b, img, k):
+    """Outputs of every op, given (2, 3) tensors a, b, a (1, 4, 4) image
+    and (2, 1, 3, 3) kernels."""
+    return [ad.add(a, b), ad.sub(a, b), ad.mul(a, b), ad.sigmoid(a), ad.tanh(a),
+            ad.exp(a), ad.log(ad.exp(a)), ad.softmax(a), ad.matmul(a, ad.transpose(b)),
+            ad.transpose(a), ad.conv2d(img, k), ad.maxpool2d(img), ad.reshape(a, (3, 2)),
+            ad.slice_last(a, 0, 2), ad.concat_last(a, b), ad.stack_rows([ad.row(a, 0)]),
+            ad.row(a, 1), ad.channels_to_features(img), ad.sum_all(a), ad.scale(a, 2.0)]
+
+
+def grad_inputs(seed=0):
+    rng = np.random.default_rng(seed)
+    return [t(rng.uniform(-1, 1, s).astype(np.float32), grad=True)
+            for s in ((2, 3), (2, 3), (1, 4, 4), (2, 1, 3, 3))]
+
+
+class TestTapeScope:
+    def test_no_tape_no_grad(self):
+        """With no tape active no op marks its output, even when every
+        input requires grad."""
+        outs = one_call_of_each_op(*grad_inputs())
+        assert [o.requires_grad for o in outs] == [False] * len(outs)
+
+    def test_tape_marks_every_op(self):
+        with ad.Tape() as tape:
+            outs = one_call_of_each_op(*grad_inputs())
+        assert all(o.requires_grad for o in outs)
+        recorded = {id(op[0]) for op in tape.ops}
+        assert all(id(o) in recorded for o in outs)
+
+    def test_tape_does_not_cross_threads(self):
+        """A tape open in one thread records nothing from another thread,
+        whose ops see no tape at all unless it opens its own."""
+        inside = threading.Event()
+        done = threading.Event()
+        seen = {}
+
+        def worker():
+            inside.wait(timeout=10)
+            seen["bare"] = ad.mul(*grad_inputs()[:2])
+            with ad.Tape() as own:
+                seen["own"] = ad.add(*grad_inputs()[:2])
+            seen["own_ops"] = len(own)
+            done.set()
+
+        th = threading.Thread(target=worker)
+        th.start()
+        with ad.Tape() as tape:
+            inside.set()
+            assert done.wait(timeout=10)
+            x, y = grad_inputs()[:2]
+            mine = ad.mul(x, y)
+        th.join(timeout=10)
+        assert not th.is_alive()
+        assert seen["bare"].requires_grad is False
+        assert seen["own"].requires_grad is True and seen["own_ops"] == 1
+        assert [op[0] for op in tape.ops] == [mine]
+
+
+class TestFusedActivation:
+    """An elementwise activation over a whole row, then sliced, gives the
+    same bits as slicing first; the LSTM cell relies on it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 30.0, -30.0]),
+                                     st.floats(-40, 40), st.floats(-1e-6, 1e-6)),
+                           min_size=1, max_size=64),
+           cut=st.data())
+    def test_row_then_slice_equals_slice_then_row(self, dtype, values, cut):
+        width = len(values)
+        start = cut.draw(st.integers(0, width - 1))
+        stop = cut.draw(st.integers(start + 1, width))
+        x = t(np.array([values]), dtype=dtype)
+        for fn in (ad.sigmoid, ad.tanh):
+            whole = ad.slice_last(fn(x), start, stop).data
+            part = fn(ad.slice_last(x, start, stop)).data
+            assert whole.dtype == part.dtype == dtype
+            assert whole.tobytes() == part.tobytes()
 
 
 OP_CASES = [

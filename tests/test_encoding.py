@@ -261,6 +261,7 @@ class TestArbitraryFeeds:
             for s in streams.values():
                 before = (s.outputs, s.cost().frames_processed, len(s.chunk_log))
                 s.feed(frames[a:b], is_last=is_last)
+                assert s.frames_buffered == b
                 if a == b and not is_last:
                     assert (s.outputs, s.cost().frames_processed, len(s.chunk_log)) == before
             out = streams["ulstm-reencode"].outputs
@@ -283,6 +284,73 @@ class TestArbitraryFeeds:
         for name, s in streams.items():
             per_frame = 2 if name == "blstm-reencode" else 1
             assert s.cost().frames_processed == per_frame * sum(r.length for r in s.chunk_log)
+
+
+class TestClosedStream:
+    """A closed stream lets go of its input and keeps everything it
+    reports."""
+
+    @staticmethod
+    def snapshot(s):
+        out = None if s.outputs is None else s.outputs.data.tobytes()
+        return out, list(s.chunk_log), s.cost()
+
+    @pytest.mark.parametrize("strategy", enc.STRATEGIES)
+    @pytest.mark.parametrize("splits", [(40, 20), (4, 1), (2, 1), (30, 10, 2), (24, 0)])
+    def test_close_releases_input(self, uni_params, uni_cfg, bi_params, bi_cfg,
+                                  strategy, splits):
+        """Splits whose last feed closes.  The closing chunk is shorter than
+        the front end window, and dropped, for (2, 1) under every strategy
+        and for (4, 1) under overlap; (24, 0) closes with an empty feed."""
+        params, cfg = (bi_params, bi_cfg) if strategy == "blstm-reencode" else (uni_params, uni_cfg)
+        frames = utterance(sum(splits), cfg.feat_dim, seed=23)
+        s = enc.EncoderStream(strategy, params, cfg)
+        bounds = np.cumsum((0,) + splits)
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            s.feed(frames[a:b], is_last=(i == len(splits) - 1))
+        assert s.closed
+        assert s.frames_buffered == sum(splits)
+        assert s._buffer is None and s._tail is None
+        if strategy == "ulstm-reencode" and sum(splits) >= enc.MIN_CHUNK_FRAMES:
+            assert np.array_equal(s.outputs.data,
+                                  md.encode_utterance(frames, params, cfg).data)
+        before = self.snapshot(s)
+        for more in (frames[:4], frames[:0]):
+            with pytest.raises(StreamClosedError):
+                s.feed(more)
+            with pytest.raises(StreamClosedError):
+                s.feed(more, is_last=True)
+        assert self.snapshot(s) == before
+        assert s.frames_buffered == sum(splits)
+
+    def test_short_closing_chunk_dropped(self, uni_params, uni_cfg):
+        """An overlap chunk of 3 frames at close encodes nothing, yet its
+        frame still counts as buffered."""
+        frames = utterance(5, uni_cfg.feat_dim, seed=24)
+        s = enc.EncoderStream("ulstm-overlap", uni_params, uni_cfg)
+        s.feed(frames[:4])
+        before = self.snapshot(s)
+        s.feed(frames[4:], is_last=True)
+        assert self.snapshot(s)[:2] == before[:2]
+        assert s.frames_buffered == 5
+
+    def test_empty_close_of_overlap_stream(self, uni_params, uni_cfg):
+        """The empty close encodes the discarded tail, then drops it with
+        the input; what it emitted stays."""
+        frames = utterance(40, uni_cfg.feat_dim, seed=25)
+        s = enc.EncoderStream("ulstm-overlap", uni_params, uni_cfg)
+        s.feed(frames)
+        assert s.chunk_log == [enc.ChunkRecord(0, 40, 5, 5)]
+        s.feed(frames[:0], is_last=True)
+        assert s.chunk_log == [enc.ChunkRecord(0, 40, 10, 0)]
+        assert np.array_equal(s.outputs.data,
+                              md.encode_utterance(frames, uni_params, uni_cfg).data)
+        assert s.frames_buffered == 40
+        assert s._buffer is None and s._tail is None
+        before = self.snapshot(s)
+        with pytest.raises(StreamClosedError):
+            s.feed(frames[:0], is_last=True)
+        assert self.snapshot(s) == before
 
 
 class TestCost:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamst import autodiff as ad
 from streamst import model as md
@@ -134,6 +135,62 @@ class TestLstmStep:
                               ad.Tensor(wx), ad.Tensor(wh), ad.Tensor(b))
         np.testing.assert_allclose(nh.data[0], want_h, rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(nc.data[0], want_c, rtol=1e-5, atol=1e-6)
+
+
+class TestFusedGates:
+    """lstm_step runs one sigmoid over the whole gate row; it must match the
+    cell that activates each gate slice on its own."""
+
+    GATE_VALUES = st.one_of(st.sampled_from([0.0, 30.0, -30.0]), st.floats(-30, 30))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), hidden=st.integers(1, 64),
+           d=st.integers(1, 8), scale=st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+           seed=st.integers(0, 2 ** 16), data=st.data())
+    def test_matches_four_slice_oracle(self, dtype, hidden, d, scale, seed, data):
+        """Bit for bit, in float32 and float64; scale 0 makes the gate row
+        equal the bias, so exact 0 and +-30 reach the activations."""
+        rng = np.random.default_rng(seed)
+        b = np.array(data.draw(st.lists(self.GATE_VALUES, min_size=4 * hidden,
+                                        max_size=4 * hidden)), dtype=dtype)
+        x, h0, c0 = (scale * rng.standard_normal((1, n)).astype(dtype)
+                     for n in (d, hidden, hidden))
+        wx = scale * rng.standard_normal((d, 4 * hidden)).astype(dtype)
+        wh = scale * rng.standard_normal((hidden, 4 * hidden)).astype(dtype)
+        nh, nc = md.lstm_step(ad.Tensor(x, dtype=dtype),
+                              (ad.Tensor(h0, dtype=dtype), ad.Tensor(c0, dtype=dtype)),
+                              ad.Tensor(wx, dtype=dtype), ad.Tensor(wh, dtype=dtype),
+                              ad.Tensor(b, dtype=dtype))
+        want_h, want_c = helpers.lstm_step_loop(x, h0, c0, wx, wh, b)
+        assert nh.data.dtype == nc.data.dtype == dtype
+        assert nh.data.tobytes() == want_h.tobytes()
+        assert nc.data.tobytes() == want_c.tobytes()
+
+    def test_records_fifteen_ops(self):
+        """Two matmuls, two adds and one sigmoid for the gate row, four
+        slices, two tanh, three muls and the cell add."""
+        h, d = 4, 3
+        rng = np.random.default_rng(5)
+        wx, wh, b = (ad.Tensor(rng.uniform(-1, 1, s).astype(np.float32), requires_grad=True)
+                     for s in ((d, 4 * h), (h, 4 * h), (4 * h,)))
+        x = ad.Tensor(rng.uniform(-1, 1, (1, d)).astype(np.float32))
+        state = (ad.Tensor(np.zeros((1, h), np.float32)), ad.Tensor(np.zeros((1, h), np.float32)))
+        with ad.Tape() as tape:
+            md.lstm_step(x, state, wx, wh, b)
+        assert len(tape) == 15
+
+    def test_gradients_pass_fd_check(self):
+        h, d = 3, 2
+        rng = np.random.default_rng(6)
+        arrays = [rng.uniform(-0.9, 0.9, s).astype(np.float32)
+                  for s in ((1, d), (1, h), (1, h), (d, 4 * h), (h, 4 * h), (4 * h,))]
+
+        def build(ts):
+            nh, nc = md.lstm_step(ts[0], (ts[1], ts[2]), ts[3], ts[4], ts[5])
+            return ad.sum_all(ad.add(ad.tanh(nh), ad.mul(nc, nc)))
+
+        bad = helpers.fd_gradcheck(build, arrays)
+        assert bad is None, "gradient mismatch at %r: analytic %g numeric %g" % bad
 
 
 class TestEncoder:
