@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoder import (FRAME_MS, DecodePolicy, as_record, offline_translate,
-                      read_traces, simulate, write_traces)
+from .decoder import (FRAME_MS, DecodePolicy, offline_translate, read_traces,
+                      simulate, write_traces)
 from .encoding import STRATEGIES
 from .errors import ConfigError
 from .metrics import (_tokens, average_lagging, bleu, extract_subsets,
@@ -198,9 +198,17 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
               workers: int = 1) -> list:
     """Simulate every job over the corpus; write traces, index, and table.
 
-    Returns the aggregated trade-off rows.  Utterances parallelize across
-    processes when workers > 1; results keep corpus order either way.
+    Returns the aggregated trade-off rows, computed from the trace files as
+    read back, so a report over the same files rebuilds them.  Utterances
+    parallelize across processes when workers > 1; results keep corpus
+    order either way.  A configuration listed twice is rejected, since both
+    would write the same trace file.
     """
+    names = [_trace_name(job) for job in jobs]
+    for j, job in enumerate(jobs):
+        if names[j] in names[:j]:
+            raise ConfigError("sweep lists the configuration %(strategy)s %(segmentation)s "
+                              "k=%(k)d s=%(s)d N=%(N)d twice" % job)
     runs = len(jobs) * len(corpus.ids)
     if runs > MAX_SWEEP_RUNS:
         raise ConfigError("sweep would run %d simulations; the guard allows %d"
@@ -213,7 +221,6 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
                         corpus.word_spans.get(utt_id), seed + 9973 * j + i)
                        for i, utt_id in enumerate(corpus.ids)]
     results = []
-    index = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(cfg, params, frame_ms)) as pool:
@@ -223,12 +230,12 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
         _pool_init(cfg, params, frame_ms)
         for j, job in enumerate(jobs):
             results.append((job, [_pool_run(t) for t in tasks_of[j]]))
-    for job, traces in results:
-        name = _trace_name(job)
+    index, on_disk = [], []
+    for (job, traces), name in zip(results, names):
         write_traces(out / name, traces)
         index.append({**job, "trace": name, "utterances": len(traces)})
-    flat = [(job, [as_record(t) for t in traces]) for job, traces in results]
-    rows = tradeoff_table(flat, corpus.targets, tokenize=tokenize)
+        on_disk.append((job, read_traces(out / name)))
+    rows = tradeoff_table(on_disk, corpus.targets, tokenize=tokenize)
     write_tradeoff_csv(out / "tradeoff.csv", rows)
     sweep = {"frame_ms": frame_ms, "tokenize": tokenize, "seed": seed,
              "jobs": index}

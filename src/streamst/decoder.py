@@ -165,15 +165,6 @@ class TraceRecord:
     wall_ns: int
 
 
-def as_record(trace: DecodeTrace) -> TraceRecord:
-    """Flatten a live trace into the shape the metrics consume."""
-    return TraceRecord(utt_id=trace.utt_id, hypothesis=trace.hypothesis,
-                       delays_ms=trace.write_delays_ms,
-                       duration_ms=trace.duration_ms,
-                       frames_processed=trace.cost.frames_processed,
-                       wall_ns=trace.cost.wall_ns)
-
-
 def write_traces(path, traces: list) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for tr in traces:
@@ -185,10 +176,10 @@ def write_traces(path, traces: list) -> None:
 
 
 def read_traces(path) -> list:
-    """Parse a trace file back into per-utterance records."""
+    """Parse a trace file back into per-utterance records.  Every line must
+    name the open utterance, and the file must not end inside one."""
     out = []
-    delays: list = []
-    duration = 0.0
+    current, delays, duration = None, [], 0.0  # the open utterance and its events
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -198,7 +189,14 @@ def read_traces(path) -> list:
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 raise ConfigError("%s line %d is not valid json" % (path, lineno)) from None
+            utt = obj.get("utt") if isinstance(obj, dict) else None
+            if utt is None:
+                raise ConfigError("%s line %d names no utterance" % (path, lineno))
+            if current not in (None, utt):
+                raise ConfigError("%s line %d belongs to %r inside utterance %r"
+                                  % (path, lineno, utt, current))
             if "event" in obj:
+                current = utt
                 if obj["event"] == "R":
                     duration = obj["ms"]
                 elif obj["event"] == "W":
@@ -207,15 +205,14 @@ def read_traces(path) -> list:
                     raise ConfigError("%s line %d has unknown event %r"
                                       % (path, lineno, obj["event"]))
             elif "hyp" in obj:
-                out.append(TraceRecord(utt_id=obj["utt"], hypothesis=obj["hyp"],
+                out.append(TraceRecord(utt_id=utt, hypothesis=obj["hyp"],
                                        delays_ms=delays, duration_ms=duration,
                                        frames_processed=obj["cost"]["frames_processed"],
                                        wall_ns=obj["cost"]["wall_ns"]))
-                delays = []
-                duration = 0.0
+                current, delays, duration = None, [], 0.0
             else:
                 raise ConfigError("%s line %d is neither an event nor a summary"
                                   % (path, lineno))
-    if delays:
-        raise ConfigError("%s ends inside an utterance trace" % (path,))
+    if current is not None:
+        raise ConfigError("%s ends inside utterance %r" % (path, current))
     return out

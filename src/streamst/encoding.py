@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, StreamClosedError
-from .model import LstmState, ModelConfig, Parameters, encoder_forward, vgg_forward
+from .model import ModelConfig, Parameters, encoder_forward, vgg_forward
 
 STRATEGIES = ("blstm-reencode", "ulstm-reencode", "ulstm-overlap")
 
@@ -40,17 +40,6 @@ def _half(n: int) -> int:
 def _quarter(n: int) -> int:
     # round(n / 4) with halves rounding up
     return (n + 2) // 4
-
-
-def overlap_schedule(step: int, k: int, s: int) -> int:
-    """Frames of already-read input a chunk reaches back over.
-
-    The first chunk has no predecessor to lean on and uses half the initial
-    read k; later chunks use half the stride s.
-    """
-    if step < 1:
-        raise ValueError("step is 1-based, got %d" % step)
-    return _half(k) if step == 1 else _half(s)
 
 
 @dataclass
@@ -96,12 +85,11 @@ class EncoderStream:
         self._fed = 0  # frames fed so far, the first rows of a buffer that grows by doubling
         self._closed = False
         self._outputs: ad.Tensor | None = None  # (P, enc_out) rows encoded so far
-        self._carried: LstmState | None = None
+        self._carried: list | None = None  # one (h, c) pair per encoder layer
         self._tail: np.ndarray | None = None  # feature rows the last chunk discarded
         self._offset = 0       # where the next chunk starts in the buffer
         self._encoded_to = 0   # buffered frames consumed by encodes so far
         self.chunk_log: list[ChunkRecord] = []
-        self._frames_processed = 0
         self._wall_ns = 0
 
     @property
@@ -123,7 +111,8 @@ class EncoderStream:
         return self._outputs
 
     def cost(self) -> EncodeCost:
-        return EncodeCost(self._frames_processed, len(self.chunk_log), self._wall_ns)
+        frames = sum(r.length for r in self.chunk_log) * (2 if self.cfg.bidirectional else 1)
+        return EncodeCost(frames, len(self.chunk_log), self._wall_ns)
 
     def feed(self, frames: np.ndarray, is_last: bool = False) -> ad.Tensor | None:
         """Append frames and encode according to the strategy.
@@ -183,7 +172,6 @@ class EncoderStream:
         if kept > 0:
             self._encode_rows(feats.data[:kept])
         self._tail = feats.data[kept:] if kept < total else None
-        self._frames_processed += len(chunk) * (2 if self.cfg.bidirectional else 1)
         self.chunk_log.append(ChunkRecord(self._offset, len(chunk), kept, total - kept))
         self._encoded_to = g
         self._offset = g - reach

@@ -100,19 +100,6 @@ class ModelConfig:
         return NUM_SPECIALS + len(self.vocab)
 
 
-@dataclass
-class LstmState:
-    """Per-layer (hidden, cell) pairs, each a (1, H) tensor."""
-
-    layers: list  # list of (h, c) Tensor pairs
-
-    @classmethod
-    def zeros(cls, n_layers: int, hidden: int) -> "LstmState":
-        return cls([(ad.Tensor(np.zeros((1, hidden), dtype=np.float32)),
-                     ad.Tensor(np.zeros((1, hidden), dtype=np.float32)))
-                    for _ in range(n_layers)])
-
-
 class Parameters:
     """Named weight tensors in a fixed declaration order."""
 
@@ -236,14 +223,35 @@ def lstm_step(x: ad.Tensor, state, wx: ad.Tensor, wh: ad.Tensor, b: ad.Tensor):
     return h, c
 
 
+def zero_state(hidden: int):
+    """A fresh (h, c) pair of (1, hidden) zero tensors."""
+    return tuple(ad.Tensor(np.zeros((1, hidden), dtype=np.float32)) for _ in range(2))
+
+
+def _weights(params: Parameters, prefix: str):
+    """The (wx, wh, b) triple of the LSTM named prefix."""
+    return params[prefix + "_wx"], params[prefix + "_wh"], params[prefix + "_b"]
+
+
+def lstm_layer(seq: list, state, wx: ad.Tensor, wh: ad.Tensor, b: ad.Tensor):
+    """Run one LSTM over (1, F) rows from the (h, c) pair state; returns the
+    hidden rows in input order and the final pair."""
+    outs = []
+    for x in seq:
+        state = lstm_step(x, state, wx, wh, b)
+        outs.append(state[0])
+    return outs, state
+
+
 def encoder_forward(feats: ad.Tensor, params: Parameters, cfg: ModelConfig,
-                    init: LstmState | None = None):
+                    init: list | None = None):
     """Run the stacked encoder over (P, F) position features.
 
-    Unidirectional mode threads carried state through every layer and returns
-    the final state, so a later call on the following positions continues the
-    sequence exactly.  Bidirectional mode reads the whole input in both
-    directions, rejects carried state, and returns None for the state.
+    Unidirectional mode threads carried state (one (h, c) pair per layer)
+    through every layer and returns the final pairs, so a later call on the
+    following positions continues the sequence exactly.  Bidirectional mode
+    also runs each layer over the reversed rows, rejects carried state, and
+    returns None for the state.
     """
     if cfg.bidirectional and init is not None:
         raise ConfigError("bidirectional encoder cannot resume from carried state")
@@ -251,35 +259,17 @@ def encoder_forward(feats: ad.Tensor, params: Parameters, cfg: ModelConfig,
     if p_len < 1:
         raise ContractError("encoder needs at least one position")
     seq = [ad.row(feats, p) for p in range(p_len)]
-    final_layers = []
+    final = []
     for layer in range(cfg.enc_layers):
-        if not cfg.bidirectional:
-            state = (init.layers[layer] if init is not None
-                     else LstmState.zeros(1, cfg.hidden).layers[0])
-            wx, wh, b = (params["enc%d_fwd_wx" % layer], params["enc%d_fwd_wh" % layer],
-                         params["enc%d_fwd_b" % layer])
-            outs = []
-            for x in seq:
-                state = lstm_step(x, state, wx, wh, b)
-                outs.append(state[0])
-            seq = outs
-            final_layers.append(state)
-        else:
-            fstate = LstmState.zeros(1, cfg.hidden).layers[0]
-            bstate = LstmState.zeros(1, cfg.hidden).layers[0]
-            fouts, bouts = [], []
-            for x in seq:
-                fstate = lstm_step(x, fstate, params["enc%d_fwd_wx" % layer],
-                                   params["enc%d_fwd_wh" % layer], params["enc%d_fwd_b" % layer])
-                fouts.append(fstate[0])
-            for x in reversed(seq):
-                bstate = lstm_step(x, bstate, params["enc%d_bwd_wx" % layer],
-                                   params["enc%d_bwd_wh" % layer], params["enc%d_bwd_b" % layer])
-                bouts.append(bstate[0])
-            bouts.reverse()
-            seq = [ad.concat_last(f, bk) for f, bk in zip(fouts, bouts)]
-    outputs = ad.stack_rows(seq)
-    return outputs, (None if cfg.bidirectional else LstmState(final_layers))
+        state = init[layer] if init is not None else zero_state(cfg.hidden)
+        fwd, state = lstm_layer(seq, state, *_weights(params, "enc%d_fwd" % layer))
+        final.append(state)
+        if cfg.bidirectional:
+            bwd, _ = lstm_layer(seq[::-1], zero_state(cfg.hidden),
+                                *_weights(params, "enc%d_bwd" % layer))
+            fwd = [ad.concat_last(f, bk) for f, bk in zip(fwd, reversed(bwd))]
+        seq = fwd
+    return ad.stack_rows(seq), (None if cfg.bidirectional else final)
 
 
 def encode_utterance(frames, params: Parameters, cfg: ModelConfig) -> ad.Tensor:
@@ -289,11 +279,11 @@ def encode_utterance(frames, params: Parameters, cfg: ModelConfig) -> ad.Tensor:
     return outputs
 
 
-def init_decoder_state(cfg: ModelConfig) -> LstmState:
-    return LstmState.zeros(2, cfg.hidden)
+def init_decoder_state(cfg: ModelConfig) -> list:
+    return [zero_state(cfg.hidden) for _ in range(2)]
 
 
-def decode_step(prev_token: int, state: LstmState, enc_outputs: ad.Tensor,
+def decode_step(prev_token: int, state: list, enc_outputs: ad.Tensor,
                 params: Parameters, cfg: ModelConfig):
     """One decoder step: attend over encoder outputs, advance both LSTM
     layers, and produce next-token logits.
@@ -307,17 +297,17 @@ def decode_step(prev_token: int, state: LstmState, enc_outputs: ad.Tensor,
         raise ContractError("token id %d outside vocabulary of size %d"
                             % (prev_token, cfg.vocab_size))
     emb = ad.row(params["embed"], prev_token)
-    query = state.layers[1][0]  # top layer hidden drives attention
+    query = state[1][0]  # top layer hidden drives attention
     scores = ad.matmul(ad.tanh(ad.add(ad.matmul(enc_outputs, params["attn_enc"]),
                                       ad.matmul(query, params["attn_dec"]))),
                        params["attn_v"])          # (P, 1)
     attn = ad.softmax(ad.transpose(scores))       # (1, P)
     context = ad.matmul(attn, enc_outputs)        # (1, enc_out)
     x = ad.concat_last(emb, context)
-    s0 = lstm_step(x, state.layers[0], params["dec0_wx"], params["dec0_wh"], params["dec0_b"])
-    s1 = lstm_step(s0[0], state.layers[1], params["dec1_wx"], params["dec1_wh"], params["dec1_b"])
-    logits = ad.add(ad.matmul(ad.concat_last(s1[0], context), params["out_w"]), params["out_b"])
-    return logits, LstmState([s0, s1]), attn
+    (h0,), s0 = lstm_layer([x], state[0], *_weights(params, "dec0"))
+    (h1,), s1 = lstm_layer([h0], state[1], *_weights(params, "dec1"))
+    logits = ad.add(ad.matmul(ad.concat_last(h1, context), params["out_w"]), params["out_b"])
+    return logits, [s0, s1], attn
 
 
 # ---------------------------------------------------------------------------

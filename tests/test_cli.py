@@ -157,6 +157,23 @@ def test_simulate_refuses_oversized_sweeps(corpus_dir, model_path, tmp_path, cap
     assert "guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, named", [
+    (["--k", "16", "16"], "ulstm-reencode fixed k=16 s=8 N=1"),
+    (["--segmentation", "random", "--bounds", "5:10", "5:10"],
+     "ulstm-reencode random k=5 s=10 N=1"),
+])
+def test_simulate_rejects_a_configuration_listed_twice(corpus_dir, model_path, tmp_path,
+                                                       capsys, extra, named):
+    """Both copies would write the same trace file, so the table could not
+    be rebuilt from disk."""
+    out = tmp_path / "sweep"
+    rc = run_simulate(corpus_dir, model_path, out,
+                      ["--strategy", "ulstm-reencode", "--s", "8"] + extra)
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_runs_are_reproducible_across_workers(corpus_dir, model_path,
                                                        tmp_path):
     outs = []

@@ -282,6 +282,34 @@ class TestTraceFiles:
         with pytest.raises(ConfigError):
             dec.read_traces(path)
 
+    def test_file_cut_inside_an_utterance_without_writes_rejected(self, tmp_path):
+        """An utterance that wrote nothing has only R events before its
+        summary; cutting the summary off must not drop it silently."""
+        path = tmp_path / "cut.jsonl"
+        path.write_text('{"utt": "a", "event": "R", "frames": 16, "g": 16, "ms": 160.0}\n'
+                        '{"utt": "a", "event": "R", "frames": 8, "g": 24, "ms": 240.0}\n')
+        with pytest.raises(ConfigError, match="ends inside"):
+            dec.read_traces(path)
+
+    def test_lines_of_another_utterance_rejected(self, uni_cfg, uni_params, tmp_path):
+        """B's events followed by C's summary must not read as C with B's
+        delays."""
+        lines = {}
+        for utt_id in ("B", "C"):
+            frames = utterance(40, uni_cfg.feat_dim, seed=24)
+            trace = dec.simulate(frames, fixed_plan(40, k=16, s=8, utt_id=utt_id),
+                                 dec.DecodePolicy(write_tokens=2), uni_params, uni_cfg,
+                                 "ulstm-reencode")
+            dec.write_traces(tmp_path / "one.jsonl", [trace])
+            lines[utt_id] = (tmp_path / "one.jsonl").read_text().splitlines()
+        path = tmp_path / "mixed.jsonl"
+        path.write_text("\n".join(lines["B"][:-1] + lines["C"][-1:]) + "\n")
+        with pytest.raises(ConfigError, match="'C' inside utterance 'B'"):
+            dec.read_traces(path)
+        path.write_text("\n".join(lines["B"][:1] + lines["C"]) + "\n")
+        with pytest.raises(ConfigError, match="'C' inside utterance 'B'"):
+            dec.read_traces(path)
+
     def test_garbage_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")

@@ -48,22 +48,6 @@ def run_plan(stream, frames, plan):
     return stream
 
 
-class TestOverlapSchedule:
-    def test_first_step_uses_half_k(self):
-        assert enc.overlap_schedule(1, k=100, s=10) == 50
-
-    def test_later_steps_use_half_s(self):
-        assert enc.overlap_schedule(3, k=100, s=10) == 5
-
-    def test_halves_round_up(self):
-        assert enc.overlap_schedule(2, k=100, s=1) == 1
-        assert enc.overlap_schedule(1, k=5, s=8) == 3
-
-    def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            enc.overlap_schedule(0, k=8, s=8)
-
-
 class TestStreamContract:
     def test_unknown_strategy(self, uni_params, uni_cfg):
         with pytest.raises(ConfigError):

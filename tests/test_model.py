@@ -227,7 +227,7 @@ class TestEncoder:
         params = md.create_parameters(cfg, seed=0)
         feats = ad.Tensor(frames_for(6, cfg.frontend_out, seed=2))
         with pytest.raises(ConfigError):
-            md.encoder_forward(feats, params, cfg, init=md.LstmState.zeros(1, 4))
+            md.encoder_forward(feats, params, cfg, init=[md.zero_state(4)])
 
     def test_last_position_depends_on_first_only_when_bidirectional(self, small_cfg):
         """Flipping an early input must reach the final output through the
@@ -267,7 +267,7 @@ class TestDecodeStep:
         state = md.init_decoder_state(small_cfg)
         _, _, attn = md.decode_step(md.BOS_ID, state, ad.Tensor(enc.astype(np.float32)),
                                     small_params, small_cfg)
-        q = state.layers[1][0].data.astype(np.float64)
+        q = state[1][0].data.astype(np.float64)
         e = np.tanh(enc @ small_params["attn_enc"].data.astype(np.float64)
                     + q @ small_params["attn_dec"].data.astype(np.float64))
         s = (e @ small_params["attn_v"].data.astype(np.float64))[:, 0]
@@ -280,7 +280,7 @@ class TestDecodeStep:
         state = md.init_decoder_state(small_cfg)
         logits, new_state, _ = md.decode_step(md.BOS_ID, state, enc, small_params, small_cfg)
         assert logits.shape == (1, small_cfg.vocab_size)
-        assert not np.array_equal(new_state.layers[0][0].data, state.layers[0][0].data)
+        assert not np.array_equal(new_state[0][0].data, state[0][0].data)
 
     def test_empty_encoder_outputs_rejected(self, small_cfg, small_params):
         empty = ad.Tensor(np.zeros((0, small_cfg.enc_out), np.float32))

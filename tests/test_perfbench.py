@@ -1,0 +1,50 @@
+"""The benchmark under perfbench/ still runs against the program: its output
+checks pass their self-test, and its per-layer hooks still see the layers."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from streamst import decoder as dec
+from streamst import model as md
+from streamst.encoding import STRATEGIES
+from streamst.segmentation import fixed_plan
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_selftest_checks_accept_real_and_reject_wrong_outputs():
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_recorder_hooks_see_encoder_and_decoder_calls():
+    rec = load_tracing().Recorder()
+    frames = np.random.default_rng(0).standard_normal((40, 8)).astype(np.float32)
+    policy = dec.DecodePolicy(write_tokens=1, max_target_factor=0.0, max_target_slack=3)
+    try:
+        rec.install()
+        for strategy in STRATEGIES:
+            cfg = md.ModelConfig(feat_dim=8, vgg_channels=(2, 2), enc_layers=2, hidden=4,
+                                 attn_dim=4, embed_dim=4, vocab="AB",
+                                 bidirectional=strategy.startswith("blstm"))
+            dec.simulate(frames, fixed_plan(40, 16, 8, "tiny"), policy,
+                         md.create_parameters(cfg, seed=0), cfg, strategy)
+    finally:
+        rec.unpatch()
+    assert dec.simulate.__module__ == "streamst.decoder"  # the patches are gone
+    for strategy in STRATEGIES:
+        assert rec.counter("model.encoder_forward.positions", strategy) > 0, strategy
+        assert rec.n_calls("model.decode_step", strategy) > 0, strategy
