@@ -1,10 +1,15 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Tensors carry float32 data by default.  Operations executed while a Tape is
-active are recorded in execution order; backward() replays the tape in
-reverse and accumulates gradients into every tensor with requires_grad set.
-With no tape active an op costs its numpy forward plus one attribute read,
-so inference pays nothing for recording.
+Tensors carry float32 data by default.  Every op computes its forward on
+the inputs' numpy data and hands the result to _op(y, inputs, rule), which
+wraps it as a Tensor with the dtype of inputs[0].  When a Tape is active and
+some input requires grad, _op marks the output as requiring grad and appends
+(output, rule) to the innermost tape, so the tape is in execution order.
+rule(g) closes over the op's inputs and forward intermediates and adds the
+output's gradient g into each input that requires grad.  backward() replays
+the tape in reverse, calling rule(out.grad) for every output the loss
+reaches.  With no tape active an op costs its numpy forward, its rule
+closure and one attribute read, so inference pays nothing for recording.
 Convolution and pooling forwards are written so that their floating-point
 accumulation order matches a scalar loop exactly, which downstream streaming
 equivalence checks rely on.
@@ -70,7 +75,7 @@ class Tape:
     """
 
     def __init__(self):
-        self.ops = []  # list of (output, inputs, rule) in execution order
+        self.ops = []  # list of (output, rule) in execution order
 
     def __enter__(self) -> "Tape":
         _state.tapes.append(self)
@@ -86,12 +91,15 @@ class Tape:
         return len(self.ops)
 
 
-def _record(out: Tensor, inputs: tuple, rule) -> None:
+def _op(y, inputs: tuple, rule) -> Tensor:
+    """The output Tensor of an op with result y; recorded with its rule when
+    a tape is active and some input requires grad."""
+    out = Tensor(y, dtype=inputs[0].data.dtype)
     stack = _state.tapes
-    if not stack or not any(t.requires_grad for t in inputs):
-        return
-    out.requires_grad = True
-    stack[-1].ops.append((out, inputs, rule))
+    if stack and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        stack[-1].ops.append((out, rule))
+    return out
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -101,19 +109,19 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ContractError("backward needs a scalar loss, got shape %r" % (loss.shape,))
-    if tape.ops and not any(op_out is loss for op_out, _, _ in tape.ops):
+    if tape.ops and not any(op_out is loss for op_out, _ in tape.ops):
         raise ContractError("loss tensor was not produced on this tape")
     loss.ensure_grad()
     loss.grad[...] = 1
-    for out, inputs, rule in reversed(tape.ops):
+    for out, rule in reversed(tape.ops):
         if out.grad is None:
             continue  # not on any path from the loss
-        rule(out.grad, inputs)
+        rule(out.grad)
 
 
 # ---------------------------------------------------------------------------
-# broadcasting helpers (numpy suffix alignment; leading axes must line up
-# exactly or be missing/size 1)
+# gradient accumulation; broadcasting follows numpy suffix alignment
+# (leading axes must line up exactly or be missing/size 1)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -133,6 +141,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += _unbroadcast(g, t.data.shape)
 
 
+def _accum_at(t: Tensor, index, g: np.ndarray) -> None:
+    """Add g into t.grad[index] in place."""
+    if t.requires_grad:
+        t.ensure_grad()[index] += g
+
+
 # ---------------------------------------------------------------------------
 # binary elementwise ops
 
@@ -145,15 +159,13 @@ def _binary(a, b, fwd, grads):
         y = fwd(a.data, b.data)
     except ValueError:  # numpy's own broadcast check
         raise ShapeError("cannot broadcast %r with %r" % (a.data.shape, b.data.shape)) from None
-    out = Tensor(y, dtype=a.data.dtype)
 
-    def rule(g, inputs):
-        ga, gb = grads(g, *inputs)
-        _accum(inputs[0], ga)
-        _accum(inputs[1], gb)
+    def rule(g):
+        ga, gb = grads(g, a, b)
+        _accum(a, ga)
+        _accum(b, gb)
 
-    _record(out, (a, b), rule)
-    return out
+    return _op(y, (a, b), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -176,45 +188,21 @@ def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))  # bounded by 1, no overflow on either branch
     y = np.where(x >= 0, 1, e) / (1 + e)
-    out = Tensor(y, dtype=x.dtype)
-
-    def rule(g, inputs):
-        _accum(inputs[0], g * y * (1 - y))
-
-    _record(out, (a,), rule)
-    return out
+    return _op(y, (a,), lambda g: _accum(a, g * y * (1 - y)))
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    out = Tensor(y, dtype=a.data.dtype)
-
-    def rule(g, inputs):
-        _accum(inputs[0], g * (1 - y * y))
-
-    _record(out, (a,), rule)
-    return out
+    return _op(y, (a,), lambda g: _accum(a, g * (1 - y * y)))
 
 
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
-    out = Tensor(y, dtype=a.data.dtype)
-
-    def rule(g, inputs):
-        _accum(inputs[0], g * y)
-
-    _record(out, (a,), rule)
-    return out
+    return _op(y, (a,), lambda g: _accum(a, g * y))
 
 
 def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data), dtype=a.data.dtype)
-
-    def rule(g, inputs):
-        _accum(inputs[0], g / inputs[0].data)
-
-    _record(out, (a,), rule)
-    return out
+    return _op(np.log(a.data), (a,), lambda g: _accum(a, g / a.data))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -223,14 +211,12 @@ def softmax(a: Tensor) -> Tensor:
     m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, dtype=x.dtype)
 
-    def rule(g, inputs):
+    def rule(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(inputs[0], (g - dot) * y)
+        _accum(a, (g - dot) * y)
 
-    _record(out, (a,), rule)
-    return out
+    return _op(y, (a,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +228,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul needs 2-d operands, got %r and %r" % (a.shape, b.shape))
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError("matmul mismatch: %r by %r" % (a.shape, b.shape))
-    out = Tensor(a.data @ b.data, dtype=a.data.dtype)
 
-    def rule(g, inputs):
-        ta, tb = inputs
-        _accum(ta, g @ tb.data.T)
-        _accum(tb, ta.data.T @ g)
+    def rule(g):
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
 
-    _record(out, (a, b), rule)
-    return out
+    return _op(a.data @ b.data, (a, b), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -300,28 +283,22 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         for i in range(kh):
             for j in range(kw):
                 acc = acc + xp[ci, i:i + ho * stride:stride, j:j + wo * stride:stride] * kd[:, ci, i, j, None, None]
-    out = Tensor(acc, dtype=dt)
 
-    def rule(g, inputs):
-        tx = inputs[0]
-        tk = inputs[1]
-        tb = inputs[2] if len(inputs) == 3 else None
-        if tx.requires_grad:
+    def rule(g):
+        if x.requires_grad:
             dxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += np.tensordot(kd[:, :, i, j], g, axes=(0, 0))
-            _accum(tx, dxp[:, ph:ph + h, pw:pw + w])
-        if tk.requires_grad:
+            _accum(x, dxp[:, ph:ph + h, pw:pw + w])
+        if kernels.requires_grad:
             # windows[ci, oi, oj, i, j] = xp[ci, oi * stride + i, oj * stride + j]
             windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-            _accum(tk, np.tensordot(g, windows, axes=((1, 2), (1, 2))))
-        if tb is not None and tb.requires_grad:
-            _accum(tb, g.sum(axis=(1, 2)))
+            _accum(kernels, np.tensordot(g, windows, axes=((1, 2), (1, 2))))
+        if bias is not None and bias.requires_grad:
+            _accum(bias, g.sum(axis=(1, 2)))
 
-    inputs = (x, kernels) if bias is None else (x, kernels, bias)
-    _record(out, inputs, rule)
-    return out
+    return _op(acc, (x, kernels) if bias is None else (x, kernels, bias), rule)
 
 
 def maxpool2d(x: Tensor, pool: int = 2, stride: int = 2) -> Tensor:
@@ -342,11 +319,9 @@ def maxpool2d(x: Tensor, pool: int = 2, stride: int = 2) -> Tensor:
              .reshape(c, ho, wo, pool * pool))
     idx = win.argmax(axis=-1)  # argmax returns the first maximum
     y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    out = Tensor(y, dtype=x.data.dtype)
 
-    def rule(g, inputs):
-        tx = inputs[0]
-        if not tx.requires_grad:
+    def rule(g):
+        if not x.requires_grad:
             return
         dwin = np.zeros((c, ho, wo, pool * pool), dtype=g.dtype)
         np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
@@ -355,10 +330,9 @@ def maxpool2d(x: Tensor, pool: int = 2, stride: int = 2) -> Tensor:
                    .reshape(c, ho * pool, wo * pool))
         dx = np.zeros((c, h, w), dtype=g.dtype)
         dx[:, :ho * pool, :wo * pool] = dxc
-        _accum(tx, dx)
+        _accum(x, dx)
 
-    _record(out, (x,), rule)
-    return out
+    return _op(y, (x,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -366,25 +340,13 @@ def maxpool2d(x: Tensor, pool: int = 2, stride: int = 2) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    out = Tensor(a.data.reshape(shape).copy(), dtype=a.data.dtype)
-
-    def rule(g, inputs):
-        _accum(inputs[0], g.reshape(inputs[0].data.shape))
-
-    _record(out, (a,), rule)
-    return out
+    return _op(a.data.reshape(shape).copy(), (a,), lambda g: _accum(a, g.reshape(a.data.shape)))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError("transpose needs a 2-d tensor, got %r" % (a.shape,))
-    out = Tensor(a.data.T.copy(), dtype=a.data.dtype)
-
-    def rule(g, inputs):
-        _accum(inputs[0], g.T)
-
-    _record(out, (a,), rule)
-    return out
+    return _op(a.data.T.copy(), (a,), lambda g: _accum(a, g.T))
 
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
@@ -392,31 +354,21 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     n = a.data.shape[-1]
     if not (0 <= start < stop <= n):
         raise ShapeError("slice [%d:%d] out of range for axis of size %d" % (start, stop, n))
-    out = Tensor(a.data[..., start:stop].copy(), dtype=a.data.dtype)
-
-    def rule(g, inputs):
-        t = inputs[0]
-        if t.requires_grad:
-            t.ensure_grad()
-            t.grad[..., start:stop] += g
-
-    _record(out, (a,), rule)
-    return out
+    index = (..., slice(start, stop))
+    return _op(a.data[index].copy(), (a,), lambda g: _accum_at(a, index, g))
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the last axis."""
     if a.data.shape[:-1] != b.data.shape[:-1]:
         raise ShapeError("cannot concatenate %r with %r" % (a.shape, b.shape))
-    out = Tensor(np.concatenate([a.data, b.data], axis=-1), dtype=a.data.dtype)
     na = a.data.shape[-1]
 
-    def rule(g, inputs):
-        _accum(inputs[0], g[..., :na])
-        _accum(inputs[1], g[..., na:])
+    def rule(g):
+        _accum(a, g[..., :na])
+        _accum(b, g[..., na:])
 
-    _record(out, (a, b), rule)
-    return out
+    return _op(np.concatenate([a.data, b.data], axis=-1), (a, b), rule)
 
 
 def stack_rows(rows: list) -> Tensor:
@@ -426,14 +378,13 @@ def stack_rows(rows: list) -> Tensor:
     for r in rows:
         if r.data.ndim != 2 or r.data.shape[0] != 1:
             raise ShapeError("stack_rows expects (1, W) rows, got %r" % (r.shape,))
-    out = Tensor(np.concatenate([r.data for r in rows], axis=0), dtype=rows[0].data.dtype)
+    rows = tuple(rows)
 
-    def rule(g, inputs):
-        for i, t in enumerate(inputs):
+    def rule(g):
+        for i, t in enumerate(rows):
             _accum(t, g[i:i + 1])
 
-    _record(out, tuple(rows), rule)
-    return out
+    return _op(np.concatenate([r.data for r in rows], axis=0), rows, rule)
 
 
 def row(a: Tensor, index: int) -> Tensor:
@@ -442,16 +393,8 @@ def row(a: Tensor, index: int) -> Tensor:
         raise ShapeError("row needs a 2-d tensor, got %r" % (a.shape,))
     if not (0 <= index < a.data.shape[0]):
         raise ShapeError("row %d out of range for %r" % (index, a.shape))
-    out = Tensor(a.data[index:index + 1].copy(), dtype=a.data.dtype)
-
-    def rule(g, inputs):
-        t = inputs[0]
-        if t.requires_grad:
-            t.ensure_grad()
-            t.grad[index:index + 1] += g
-
-    _record(out, (a,), rule)
-    return out
+    rows = slice(index, index + 1)
+    return _op(a.data[rows].copy(), (a,), lambda g: _accum_at(a, rows, g))
 
 
 def channels_to_features(a: Tensor) -> Tensor:
@@ -459,35 +402,15 @@ def channels_to_features(a: Tensor) -> Tensor:
     if a.data.ndim != 3:
         raise ShapeError("channels_to_features needs (C, H, W), got %r" % (a.shape,))
     c, h, w = a.shape
-    out = Tensor(a.data.transpose(1, 0, 2).reshape(h, c * w).copy(), dtype=a.data.dtype)
-
-    def rule(g, inputs):
-        _accum(inputs[0], g.reshape(h, c, w).transpose(1, 0, 2))
-
-    _record(out, (a,), rule)
-    return out
+    return _op(a.data.transpose(1, 0, 2).reshape(h, c * w).copy(), (a,),
+               lambda g: _accum(a, g.reshape(h, c, w).transpose(1, 0, 2)))
 
 
 def sum_all(a: Tensor) -> Tensor:
     """Sum every element to a scalar."""
-    out = Tensor(np.sum(a.data, dtype=a.data.dtype), dtype=a.data.dtype)
-
-    def rule(g, inputs):
-        t = inputs[0]
-        if t.requires_grad:
-            t.ensure_grad()
-            t.grad += g
-
-    _record(out, (a,), rule)
-    return out
+    return _op(np.sum(a.data, dtype=a.data.dtype), (a,), lambda g: _accum_at(a, ..., g))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar."""
-    out = Tensor(a.data * c, dtype=a.data.dtype)
-
-    def rule(g, inputs):
-        _accum(inputs[0], g * c)
-
-    _record(out, (a,), rule)
-    return out
+    return _op(a.data * c, (a,), lambda g: _accum(a, g * c))

@@ -24,8 +24,8 @@ from .decoder import (FRAME_MS, DecodePolicy, offline_translate, read_traces,
                       simulate, write_traces)
 from .encoding import STRATEGIES
 from .errors import ConfigError
-from .metrics import (_tokens, average_lagging, bleu, extract_subsets,
-                      lagging_difficulty, tradeoff_table, write_tradeoff_csv)
+from .metrics import (bleu, extract_subsets, lagging_difficulty, tradeoff_table,
+                      utterance_lagging, write_tradeoff_csv)
 from .model import ModelConfig, create_parameters, load_checkpoint, save_checkpoint
 from .segmentation import fixed_plan, oracle_word_plan, random_plan
 from .synthetic import (SyntheticSpec, generate_corpus, load_corpus, save_corpus)
@@ -49,6 +49,7 @@ class _Example:
     utt_id: str
     frames: np.ndarray
     target: str
+    reversed_order: bool
 
 
 def _cmd_generate(args) -> int:
@@ -77,7 +78,11 @@ def _cmd_generate(args) -> int:
 
 
 def _examples_of(corpus) -> list:
-    return [_Example(i, corpus.features[i], corpus.targets[i]) for i in corpus.ids]
+    """Training examples; an utterance is reversed-order when its word
+    alignment has a pair off the diagonal."""
+    reordered = {a.utt_id for a in corpus.alignments if any(i != t for i, t in a.pairs)}
+    return [_Example(i, corpus.features[i], corpus.targets[i], i in reordered)
+            for i in corpus.ids]
 
 
 def _derive_vocab(corpus) -> str:
@@ -198,8 +203,8 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
               workers: int = 1) -> list:
     """Simulate every job over the corpus; write traces, index, and table.
 
-    Returns the aggregated trade-off rows, computed from the trace files as
-    read back, so a report over the same files rebuilds them.  Utterances
+    Returns the aggregated trade-off rows, computed from the trace files
+    through the reader `report` uses, so a report rebuilds them.  Utterances
     parallelize across processes when workers > 1; results keep corpus
     order either way.  A configuration listed twice is rejected, since both
     would write the same trace file.
@@ -230,17 +235,16 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
         _pool_init(cfg, params, frame_ms)
         for j, job in enumerate(jobs):
             results.append((job, [_pool_run(t) for t in tasks_of[j]]))
-    index, on_disk = [], []
+    index = []
     for (job, traces), name in zip(results, names):
         write_traces(out / name, traces)
         index.append({**job, "trace": name, "utterances": len(traces)})
-        on_disk.append((job, read_traces(out / name)))
-    rows = tradeoff_table(on_disk, corpus.targets, tokenize=tokenize)
-    write_tradeoff_csv(out / "tradeoff.csv", rows)
     sweep = {"frame_ms": frame_ms, "tokenize": tokenize, "seed": seed,
              "jobs": index}
     (out / "sweep.json").write_text(json.dumps(sweep, indent=2, sort_keys=True) + "\n",
                                     encoding="utf-8")
+    rows = tradeoff_table(_read_sweep(out)[1], corpus.targets, tokenize=tokenize)
+    write_tradeoff_csv(out / "tradeoff.csv", rows)
     return rows
 
 
@@ -343,6 +347,9 @@ def _cmd_bench(args) -> int:
 
 
 def _read_sweep(sweep_dir):
+    """The sweep index and (config, trace records) per job; a trace file
+    holding another number of utterances than the index records is
+    rejected."""
     root = Path(sweep_dir)
     path = root / "sweep.json"
     if not path.exists():
@@ -352,7 +359,12 @@ def _read_sweep(sweep_dir):
     for entry in sweep["jobs"]:
         config = {key: entry[key] for key in ("strategy", "k", "s", "N",
                                               "segmentation")}
-        results.append((config, read_traces(root / entry["trace"])))
+        trace = root / entry["trace"]
+        records = read_traces(trace)
+        if len(records) != entry["utterances"]:
+            raise ConfigError("%s holds %d utterances, sweep.json records %d"
+                              % (trace, len(records), entry["utterances"]))
+        results.append((config, records))
     return sweep, results
 
 
@@ -376,10 +388,7 @@ def _cmd_report(args) -> int:
         for config, traces in results:
             for tr in traces:
                 ref = corpus.targets.get(tr.utt_id)
-                lag = None
-                if ref and tr.delays_ms:
-                    lag = average_lagging(tr.delays_ms, tr.duration_ms,
-                                          max(1, len(_tokens(ref, tokenize))))
+                lag = None if ref is None else utterance_lagging(tr, ref, tokenize)
                 f.write(json.dumps({"config": config, "utt": tr.utt_id,
                                     "hyp": tr.hypothesis, "al_ms": lag,
                                     "frames_processed": tr.frames_processed,

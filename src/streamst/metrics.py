@@ -119,6 +119,15 @@ def average_lagging(delays_ms: list, duration_ms: float, ref_len: int) -> float:
     return total / tau
 
 
+def utterance_lagging(trace, reference: str, tokenize: str) -> float | None:
+    """AL of one trace record against its reference text, whose length in
+    tokens counts as at least 1; None when the trace wrote nothing."""
+    if not trace.delays_ms:
+        return None
+    return average_lagging(trace.delays_ms, trace.duration_ms,
+                           max(1, len(_tokens(reference, tokenize))))
+
+
 # ---------------------------------------------------------------------------
 # lagging difficulty
 
@@ -253,11 +262,11 @@ def tradeoff_table(results: list, references: dict, tokenize: str = "word") -> l
             refs.append(ref)
             frames.append(tr.frames_processed)
             walls.append(tr.wall_ns)
-            if tr.delays_ms:
-                lags.append(average_lagging(tr.delays_ms, tr.duration_ms,
-                                            max(1, len(_tokens(ref, tokenize)))))
-            else:
+            lag = utterance_lagging(tr, ref, tokenize)
+            if lag is None:
                 logger.debug("empty hypothesis for %r, no lag sample", tr.utt_id)
+            else:
+                lags.append(lag)
         if not hyps:
             logger.warning("configuration %r matched no references", config)
             continue

@@ -13,9 +13,10 @@ Even under Adam the attention takes thousands of updates to break symmetry
 on its own: while the weights are uniform the context carries no positional
 credit, and the alignment gradient is orders of magnitude below the language-
 model gradient.  The cure is guide_epochs > 0: for the first few epochs an
-auxiliary term rewards attention mass on the diagonal (position 2i for
-target character i — the synthetic task is length-preserving with two
-encoder positions per symbol).  Reversed-order utterances are exempt.
+auxiliary term rewards attention mass on the diagonal: the synthetic task is
+length-preserving, so target character i sits at encoder positions
+[i * P // n, (i + 1) * P // n) for P encoder positions and n target
+characters.  Reversed-order utterances are exempt.
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ def utterance_loss(frames: np.ndarray, target: str, params: Parameters,
 
     With guide_weight > 0 each step also pays
     -guide_weight * log(attention mass on the diagonal window), where the
-    window for target position i is the pair of encoder positions covering
-    source symbol i.  Only meaningful for monotone length-preserving targets.
+    window for target position i is the run of encoder positions covering
+    source symbol i (the end token takes the last position).  Only
+    meaningful for monotone length-preserving targets.
     """
     vocab = Vocab(cfg.vocab)
     token_ids = vocab.encode(target) + [EOS_ID]
@@ -98,13 +100,14 @@ def utterance_loss(frames: np.ndarray, target: str, params: Parameters,
     prev = BOS_ID
     picked = []
     p_len = enc.shape[0]
+    n_sym = max(1, len(target))
     for i, tok in enumerate(token_ids):
         logits, state, attn = decode_step(prev, state, enc, params, cfg)
         logp = ad.log(ad.softmax(logits))
         picked.append(ad.slice_last(logp, tok, tok + 1))
         if guide_weight > 0.0:
-            lo = min(2 * i, p_len - 1)
-            hi = min(2 * i + 2, p_len)
+            lo = min(i * p_len // n_sym, p_len - 1)
+            hi = max(lo + 1, min((i + 1) * p_len // n_sym, p_len))
             window = ad.log(ad.sum_all(ad.slice_last(attn, lo, hi)))
             picked.append(ad.reshape(ad.scale(window, guide_weight), (1, 1)))
         prev = tok
@@ -188,6 +191,8 @@ def train(params: Parameters, cfg: ModelConfig, corpus: list,
           tcfg: TrainConfig, on_epoch=None) -> list:
     """Run the configured optimizer over the corpus; one report per epoch.
 
+    Each corpus item has utt_id, frames, target and reversed_order; the
+    attention guide skips reversed-order utterances.
     Raises if any utterance loss turns non-finite, naming the epoch and
     utterance.  With zero epochs the parameters are left untouched.
     """
@@ -208,8 +213,8 @@ def train(params: Parameters, cfg: ModelConfig, corpus: list,
             batch_tokens = 0
             for utt in batch:
                 guide = (tcfg.guide_weight
-                         if epoch <= tcfg.guide_epochs
-                         and not getattr(utt, "reversed_order", False) else 0.0)
+                         if epoch <= tcfg.guide_epochs and not utt.reversed_order
+                         else 0.0)
                 with ad.Tape() as tape:
                     loss, n_tok = utterance_loss(utt.frames, utt.target,
                                                  params, cfg, guide)

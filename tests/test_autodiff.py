@@ -1,5 +1,6 @@
 """Tests for the reverse-mode autodiff core."""
 
+import inspect
 import math
 import threading
 
@@ -416,6 +417,42 @@ OP_CASES = [
     ("reshape", lambda ts: ad.sum_all(ad.tanh(ad.reshape(ts[0], (2, 6)))), [(3, 4)]),
     ("scale", lambda ts: ad.sum_all(ad.scale(ad.tanh(ts[0]), 0.7)), [(3, 3)]),
 ]
+
+
+def public_ops() -> set:
+    """Every public function of the autodiff module but backward."""
+    return {name for name, f in vars(ad).items()
+            if inspect.isfunction(f) and f.__module__ == ad.__name__
+            and not name.startswith("_") and name != "backward"}
+
+
+def ops_called(run, monkeypatch) -> set:
+    """Names of the public ops that run() calls through the module."""
+    called = set()
+    for name in public_ops():
+        def spy(*args, _name=name, _fn=getattr(ad, name), **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ad, name, spy)
+    run()
+    monkeypatch.undo()
+    return called
+
+
+class TestEveryOpCovered:
+    """A new op cannot land without a tape-scope case and a
+    finite-difference case."""
+
+    def test_one_call_of_each_op_calls_every_op(self, monkeypatch):
+        called = ops_called(lambda: one_call_of_each_op(*grad_inputs()), monkeypatch)
+        assert public_ops() - called == set()
+
+    def test_op_cases_call_every_op(self, monkeypatch):
+        def run():
+            for _, build, shapes in OP_CASES:
+                build([t(np.full(s, 0.5), grad=True) for s in shapes])
+
+        assert public_ops() - ops_called(run, monkeypatch) == set()
 
 
 class TestFiniteDifference:

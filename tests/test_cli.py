@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from streamst import cli
+from streamst import cli, training
 from streamst.decoder import read_traces
 from streamst.metrics import TRADEOFF_COLUMNS
 from streamst.model import load_checkpoint
+from streamst.synthetic import SyntheticSpec, generate_corpus
 
 GEN_ARGS = ["--utterances", "10", "--min-len", "4", "--max-len", "8",
             "--seed", "1", "--frames-per-symbol", "4", "--feat-dim", "6"]
@@ -73,6 +74,32 @@ def test_generate_is_reproducible(tmp_path):
 
 # ---------------------------------------------------------------------------
 # train / translate
+
+
+def test_train_exempts_reversed_utterances_from_the_guide(tmp_path, monkeypatch):
+    """The loaded alignment marks an utterance as reversed; the attention
+    guide must skip exactly those."""
+    gen = ["--utterances", "12", "--min-len", "8", "--max-len", "12", "--seed", "5",
+           "--frames-per-symbol", "4", "--feat-dim", "6", "--reversal-fraction", "0.5"]
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data)] + gen) == 0
+    spec = SyntheticSpec(frames_per_symbol=4, feat_dim=6)
+    reversed_targets = {u.target for u in generate_corpus(spec, 12, 8, 12, 0.5, seed=5)
+                        if u.reversed_order}
+    assert 0 < len(reversed_targets) < 12
+    weights = {}
+    real_loss = training.utterance_loss
+
+    def spy(frames, target, params, cfg, guide_weight=0.0):
+        weights[target] = guide_weight
+        return real_loss(frames, target, params, cfg, guide_weight)
+
+    monkeypatch.setattr(training, "utterance_loss", spy)
+    assert cli.main(["train", "--data", str(data), "--model", str(tmp_path / "m.ckpt"),
+                     "--guide-epochs", "1", "--guide-weight", "0.5"] + TRAIN_ARGS) == 0
+    assert len(weights) == 10  # two of the twelve are held out
+    for target, weight in weights.items():
+        assert weight == (0.0 if target in reversed_targets else 0.5), target
 
 
 def test_train_writes_a_loadable_checkpoint(model_path):
@@ -272,6 +299,44 @@ def test_report_missing_sweep_fails_naming_the_path(corpus_dir, tmp_path, capsys
                    "--out", str(tmp_path / "rep")])
     assert rc == 2
     assert str(missing) in capsys.readouterr().err
+
+
+def test_report_rejects_a_trace_file_missing_utterances(corpus_dir, model_path,
+                                                       tmp_path, capsys):
+    sweep = tmp_path / "sweep"
+    assert run_simulate(corpus_dir, model_path, sweep, ["--k", "8", "--s", "16"]) == 0
+    (trace,) = sweep.glob("trace_*.jsonl")
+    lines = trace.read_text().splitlines(keepends=True)
+    summaries = [i for i, line in enumerate(lines) if '"cost"' in line]
+    trace.write_text("".join(lines[:summaries[4] + 1]))
+    rc = cli.main(["report", "--sweep", str(sweep), "--data", str(corpus_dir),
+                   "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    assert "%s holds 5 utterances, sweep.json records 10" % trace in capsys.readouterr().err
+
+
+def test_report_lags_agree_with_the_table_on_an_empty_reference(corpus_dir, model_path,
+                                                                tmp_path):
+    """Per-utterance AL is the table's: an empty reference counts as one
+    token, so the table's AL is the mean of the per-utterance lags."""
+    sweep = tmp_path / "sweep"
+    assert run_simulate(corpus_dir, model_path, sweep, ["--k", "8", "--s", "16"]) == 0
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("features.simf", "source.tsv", "boundaries.tsv"):
+        (data / name).write_bytes((corpus_dir / name).read_bytes())
+    lines = (corpus_dir / "target.tsv").read_text().splitlines()
+    lines[0] = lines[0].split("\t")[0] + "\t"
+    (data / "target.tsv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "rep"
+    assert cli.main(["report", "--sweep", str(sweep), "--data", str(data),
+                     "--out", str(out)]) == 0
+    lags = [json.loads(line)["al_ms"]
+            for line in (out / "per_utterance.jsonl").read_text().splitlines()]
+    assert lags[0] is not None
+    lags = [lag for lag in lags if lag is not None]
+    table_al = float(canonical_csv(out / "curves.csv")[1][6])
+    assert table_al == pytest.approx(sum(lags) / len(lags), abs=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 
 from streamst import autodiff as ad
 from streamst.errors import ConfigError, TrainingDivergedError
-from streamst.model import ModelConfig, create_parameters
+from streamst.model import (BOS_ID, EOS_ID, ModelConfig, Vocab, create_parameters,
+                            decode_step, encode_utterance, init_decoder_state)
 from streamst.synthetic import SyntheticSpec, generate_corpus
 from streamst.training import (EpochReport, TrainConfig, _apply_update,
                                _global_norm, train, utterance_loss)
@@ -65,6 +66,27 @@ def test_loss_backward_reaches_all_parameters(cfg, params, corpus):
     for name, t in params:
         assert t.grad is not None, name
         assert np.isfinite(t.grad).all(), name
+
+
+def test_guide_window_covers_the_symbol_at_any_frame_rate():
+    """At 16 frames per symbol a target character owns four encoder
+    positions; the guide term pays for the attention mass outside them."""
+    spec = SyntheticSpec(frames_per_symbol=16, feat_dim=6, seed=21)
+    utt = generate_corpus(spec, 1, 6, 6, seed=3)[0]
+    cfg = ModelConfig(feat_dim=6, vgg_channels=(2, 3), enc_layers=1, hidden=8,
+                      attn_dim=8, embed_dim=6, vocab=spec.target_vocab)
+    params = create_parameters(cfg, seed=1)
+    plain, _ = utterance_loss(utt.frames, utt.target, params, cfg)
+    guided, _ = utterance_loss(utt.frames, utt.target, params, cfg, guide_weight=1.0)
+    enc = encode_utterance(utt.frames, params, cfg)
+    assert enc.shape[0] == 4 * len(utt.target)
+    state, prev, want = init_decoder_state(cfg), BOS_ID, 0.0
+    for i, tok in enumerate(Vocab(cfg.vocab).encode(utt.target) + [EOS_ID]):
+        _, state, attn = decode_step(prev, state, enc, params, cfg)
+        window = attn.data[0, 4 * i:4 * i + 4] if tok != EOS_ID else attn.data[0, -1:]
+        want -= math.log(float(window.sum(dtype=np.float64)))
+        prev = tok
+    assert float(guided.data) - float(plain.data) == pytest.approx(want, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
