@@ -10,6 +10,8 @@ output's gradient g into each input that requires grad.  backward() replays
 the tape in reverse, calling rule(out.grad) for every output the loss
 reaches.  With no tape active an op costs its numpy forward, its rule
 closure and one attribute read, so inference pays nothing for recording.
+One op spans many steps: lstm runs a whole recurrence on plain arrays and
+records it as one node whose rule is backpropagation through time.
 Convolution and pooling forwards are written so that their floating-point
 accumulation order matches a scalar loop exactly, which downstream streaming
 equivalence checks rely on.
@@ -184,10 +186,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 # unary elementwise ops
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))  # bounded by 1, no overflow on either branch
-    y = np.where(x >= 0, 1, e) / (1 + e)
+    return np.where(x >= 0, 1, e) / (1 + e)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _sigmoid(a.data)
     return _op(y, (a,), lambda g: _accum(a, g * y * (1 - y)))
 
 
@@ -234,6 +239,77 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, a.data.T @ g)
 
     return _op(a.data @ b.data, (a, b), rule)
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+
+
+def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
+         reverse: bool = False):
+    """An LSTM over the (T, F) rows of x from the (1, H) state (h0, c0).
+
+    Gate layout along the 4H axis is input, forget, cell, output.  Steps read
+    the rows in order, or last to first when reverse, and each keeps only its
+    h and c rows.  Returns the (T, H) hidden rows, row t from the step that
+    read row t, and the final h and c; the final h shares its row's gradient.
+    """
+    n = wh.data.shape[0]
+    if (x.data.ndim != 2 or len(x.data) < 1 or wx.shape != (x.data.shape[1], 4 * n)
+            or wh.shape != (n, 4 * n) or b.shape != (4 * n,) or {h0.shape, c0.shape} != {(1, n)}):
+        raise ShapeError("lstm cannot run x %r from state %r, %r with weights %r, %r, %r"
+                         % (x.shape, h0.shape, c0.shape, wx.shape, wh.shape, b.shape))
+    xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
+    t_len = len(xd)
+    hs, cs = np.empty((t_len, n), dtype=xd.dtype), np.empty((t_len, n), dtype=xd.dtype)
+    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    h, c = h0.data, c0.data
+    for t in steps:
+        gates = (xd[t:t + 1] @ wxd + h @ whd) + bd
+        sig = _sigmoid(gates)
+        c = np.add(sig[:, n:2 * n] * c, sig[:, :n] * np.tanh(gates[:, 2 * n:3 * n]),
+                   out=cs[t:t + 1])
+        h = np.multiply(sig[:, 3 * n:], np.tanh(c), out=hs[t:t + 1])
+
+    def rule(g):
+        """Backpropagation through time: the gates are recomputed in one
+        product, and only the dh and dc recurrence runs step by step."""
+        if reverse:  # each step's starting state, on the row it read
+            hp, cp = np.concatenate([hs[1:], h0.data]), np.concatenate([cs[1:], c0.data])
+        else:
+            hp, cp = np.concatenate([h0.data, hs[:-1]]), np.concatenate([c0.data, cs[:-1]])
+        gates = (xd @ wxd + hp @ whd) + bd
+        sig = _sigmoid(gates)
+        i, f, o = sig[:, :n], sig[:, n:2 * n], sig[:, 3 * n:]
+        cell, tc = np.tanh(gates[:, 2 * n:3 * n]), np.tanh(cs)
+        dc_dh = o * (1 - tc * tc)
+        # input, forget and cell gate gradients are dc times by_dc, the output one dh times by_dh
+        by_dc = np.stack([cell * i * (1 - i), cp * f * (1 - f), i * (1 - cell * cell)], axis=1)
+        by_dh = tc * o * (1 - o)
+        dgates = np.empty_like(gates)
+        dh_next = np.zeros_like(h0.data)
+        dc_next = c_last.grad if c_last.grad is not None else np.zeros_like(c0.data)
+        for t in reversed(steps):
+            dh = g[t:t + 1] + dh_next
+            dc = dc_next + dh * dc_dh[t]
+            dgates[t, :3 * n] = (dc * by_dc[t]).reshape(-1)
+            dgates[t, 3 * n:] = dh[0] * by_dh[t]
+            dc_next = dc * f[t]
+            dh_next = dgates[t:t + 1] @ whd.T
+        _accum(x, dgates @ wxd.T)
+        _accum(h0, dh_next)
+        _accum(c0, dc_next)
+        _accum(wx, xd.T @ dgates)
+        _accum(wh, hp.T @ dgates)
+        _accum(b, dgates.sum(axis=0))
+
+    out = _op(hs, (x, h0, c0, wx, wh, b), rule)
+    last = slice(0, 1) if reverse else slice(t_len - 1, t_len)
+    h_last, c_last = (Tensor(r[last], out.requires_grad, r.dtype) for r in (hs, cs))
+    if out.requires_grad:  # allocated now, so the rule runs even if only the final c is reached
+        out.grad = np.zeros_like(hs)
+        h_last.grad = out.grad[last]
+    return out, h_last, c_last
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,8 @@ def benchmark_decoding(t_frames: int = 2000, k: int = 100, s: int = 10,
     is capped at 40 tokens, but the model seed decides the decoder's share.
     With seed 0, the default, end-of-sequence is proposed and suppressed at
     each of the 191 reads, nothing is written, and decoding takes about a
-    fifth of an overlap utterance.  Seeds 1 and 2 write 40 tokens and stop.
+    quarter of an overlap utterance and 2-4% of a re-encoding one.  Seeds 1
+    and 2 write 40 tokens and stop.
     """
     if reps < 1:
         raise ConfigError("need at least one repetition")

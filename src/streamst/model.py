@@ -3,9 +3,13 @@ decoder, parameter initialisation, and checkpoint serialisation.
 
 The front end applies two convolution blocks, each halving the time and
 feature axes, so T input frames become floor(floor(T/2)/2) encoder positions.
-The unidirectional encoder is written one timestep at a time so that encoding
-a sequence in chunks with carried state is bit-identical to encoding it in
-one pass.
+Every LSTM layer, in the encoder and in the decoder, is one autodiff.lstm
+call: its time loop runs on plain arrays inside one tape node, and its
+backward is backpropagation through time.  The loop multiplies one input row
+by wx per step, so encoding a sequence in chunks with carried state is
+bit-identical to encoding it in one pass.  Batching x @ wx across time would
+break that: with OpenBLAS 0.3.31, rows of a (64, 64) by (64, 256) sgemm
+differ from the row-by-row products.
 """
 
 from __future__ import annotations
@@ -203,26 +207,6 @@ def vgg_forward(frames, params: Parameters, cfg: ModelConfig) -> ad.Tensor:
     return ad.channels_to_features(h)
 
 
-def lstm_step(x: ad.Tensor, state, wx: ad.Tensor, wh: ad.Tensor, b: ad.Tensor):
-    """One LSTM cell update.  state is an (h, c) pair; returns the new pair.
-
-    Gate layout along the 4H axis is input, forget, cell, output.  One
-    sigmoid covers the whole row and the i, f and o gates are sliced out of
-    it; elementwise ops give the same bits on a row as on its slices.
-    """
-    h_prev, c_prev = state
-    n = wh.data.shape[0]
-    gates = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h_prev, wh)), b)
-    sig = ad.sigmoid(gates)
-    i = ad.slice_last(sig, 0, n)
-    f = ad.slice_last(sig, n, 2 * n)
-    g = ad.tanh(ad.slice_last(gates, 2 * n, 3 * n))
-    o = ad.slice_last(sig, 3 * n, 4 * n)
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h = ad.mul(o, ad.tanh(c))
-    return h, c
-
-
 def zero_state(hidden: int):
     """A fresh (h, c) pair of (1, hidden) zero tensors."""
     return tuple(ad.Tensor(np.zeros((1, hidden), dtype=np.float32)) for _ in range(2))
@@ -233,14 +217,12 @@ def _weights(params: Parameters, prefix: str):
     return params[prefix + "_wx"], params[prefix + "_wh"], params[prefix + "_b"]
 
 
-def lstm_layer(seq: list, state, wx: ad.Tensor, wh: ad.Tensor, b: ad.Tensor):
-    """Run one LSTM over (1, F) rows from the (h, c) pair state; returns the
-    hidden rows in input order and the final pair."""
-    outs = []
-    for x in seq:
-        state = lstm_step(x, state, wx, wh, b)
-        outs.append(state[0])
-    return outs, state
+def lstm_layer(x: ad.Tensor, state, wx: ad.Tensor, wh: ad.Tensor, b: ad.Tensor,
+               reverse: bool = False):
+    """Run one LSTM over the (T, F) rows of x from the (h, c) pair state;
+    returns the (T, H) hidden rows in input order and the final pair."""
+    hs, h, c = ad.lstm(x, *state, wx, wh, b, reverse=reverse)
+    return hs, (h, c)
 
 
 def encoder_forward(feats: ad.Tensor, params: Parameters, cfg: ModelConfig,
@@ -250,26 +232,24 @@ def encoder_forward(feats: ad.Tensor, params: Parameters, cfg: ModelConfig,
     Unidirectional mode threads carried state (one (h, c) pair per layer)
     through every layer and returns the final pairs, so a later call on the
     following positions continues the sequence exactly.  Bidirectional mode
-    also runs each layer over the reversed rows, rejects carried state, and
-    returns None for the state.
+    also runs each layer from the last row back and joins the two directions
+    row by row; it rejects carried state and returns None for the state.
     """
     if cfg.bidirectional and init is not None:
         raise ConfigError("bidirectional encoder cannot resume from carried state")
-    p_len = feats.shape[0]
-    if p_len < 1:
+    if feats.shape[0] < 1:
         raise ContractError("encoder needs at least one position")
-    seq = [ad.row(feats, p) for p in range(p_len)]
-    final = []
+    out, final = feats, []
     for layer in range(cfg.enc_layers):
         state = init[layer] if init is not None else zero_state(cfg.hidden)
-        fwd, state = lstm_layer(seq, state, *_weights(params, "enc%d_fwd" % layer))
+        fwd, state = lstm_layer(out, state, *_weights(params, "enc%d_fwd" % layer))
         final.append(state)
         if cfg.bidirectional:
-            bwd, _ = lstm_layer(seq[::-1], zero_state(cfg.hidden),
-                                *_weights(params, "enc%d_bwd" % layer))
-            fwd = [ad.concat_last(f, bk) for f, bk in zip(fwd, reversed(bwd))]
-        seq = fwd
-    return ad.stack_rows(seq), (None if cfg.bidirectional else final)
+            bwd, _ = lstm_layer(out, zero_state(cfg.hidden),
+                                *_weights(params, "enc%d_bwd" % layer), reverse=True)
+            fwd = ad.concat_last(fwd, bwd)
+        out = fwd
+    return out, (None if cfg.bidirectional else final)
 
 
 def encode_utterance(frames, params: Parameters, cfg: ModelConfig) -> ad.Tensor:
@@ -304,8 +284,8 @@ def decode_step(prev_token: int, state: list, enc_outputs: ad.Tensor,
     attn = ad.softmax(ad.transpose(scores))       # (1, P)
     context = ad.matmul(attn, enc_outputs)        # (1, enc_out)
     x = ad.concat_last(emb, context)
-    (h0,), s0 = lstm_layer([x], state[0], *_weights(params, "dec0"))
-    (h1,), s1 = lstm_layer([h0], state[1], *_weights(params, "dec1"))
+    h0, s0 = lstm_layer(x, state[0], *_weights(params, "dec0"))
+    h1, s1 = lstm_layer(h0, state[1], *_weights(params, "dec1"))
     logits = ad.add(ad.matmul(ad.concat_last(h1, context), params["out_w"]), params["out_b"])
     return logits, [s0, s1], attn
 

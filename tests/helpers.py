@@ -5,8 +5,9 @@ convolution and pooling references iterate one output element at a time with
 plain python loops; the gradient check runs the same computation graph in
 float64 and differentiates it numerically with central differences.  The
 decoding references keep separate greedy loops for mid-stream reads, the
-final read and offline translation; the LSTM reference activates each gate
-slice on its own.
+final read and offline translation.  The LSTM references are the cell
+composed of tape ops, for gradients, and a plain-array cell that activates
+each gate slice on its own, for outputs.
 """
 
 import numpy as np
@@ -175,6 +176,38 @@ def lstm_step_loop(x, h_prev, c_prev, wx, wh, b):
     i, f, g, o = act
     c = f * c_prev + i * g
     return o * np.tanh(c), c
+
+
+def lstm_step(x, state, wx, wh, b):
+    """LSTM cell oracle composed of tape ops; state is an (h, c) pair of
+    Tensors and the new pair is returned.
+
+    Gate layout along the 4H axis is input, forget, cell, output.  One
+    sigmoid covers the whole row and the i, f and o gates are sliced out of
+    it; elementwise ops give the same bits on a row as on its slices.
+    """
+    h_prev, c_prev = state
+    n = wh.data.shape[0]
+    gates = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h_prev, wh)), b)
+    sig = ad.sigmoid(gates)
+    i = ad.slice_last(sig, 0, n)
+    f = ad.slice_last(sig, n, 2 * n)
+    g = ad.tanh(ad.slice_last(gates, 2 * n, 3 * n))
+    o = ad.slice_last(sig, 3 * n, 4 * n)
+    c = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
+    h = ad.mul(o, ad.tanh(c))
+    return h, c
+
+
+def lstm_layer_steps(x, state, wx, wh, b, reverse=False):
+    """lstm_step over the rows of the (T, F) Tensor x; returns the hidden
+    rows stacked in input order and the final pair."""
+    order = range(x.shape[0] - 1, -1, -1) if reverse else range(x.shape[0])
+    outs = [None] * x.shape[0]
+    for t in order:
+        state = lstm_step(ad.row(x, t), state, wx, wh, b)
+        outs[t] = state[0]
+    return ad.stack_rows(outs), state
 
 
 def maxpool2d_loop(x, pool=2):

@@ -309,12 +309,14 @@ class TestBackward:
         np.testing.assert_array_equal(w.grad, np.full((1, 3), 4.0, dtype=np.float32))
 
 
-def one_call_of_each_op(a, b, img, k):
-    """Outputs of every op, given (2, 3) tensors a, b, a (1, 4, 4) image
-    and (2, 1, 3, 3) kernels."""
+def one_call_of_each_op(a, b, img, k, h, c, wx, wh, bias):
+    """Outputs of every op, given (2, 3) tensors a, b, a (1, 4, 4) image,
+    (2, 1, 3, 3) kernels, and a (1, 2) LSTM state h, c with weights wx, wh
+    and bias for it."""
     return [ad.add(a, b), ad.sub(a, b), ad.mul(a, b), ad.sigmoid(a), ad.tanh(a),
             ad.exp(a), ad.log(ad.exp(a)), ad.softmax(a), ad.matmul(a, ad.transpose(b)),
-            ad.transpose(a), ad.conv2d(img, k), ad.maxpool2d(img), ad.reshape(a, (3, 2)),
+            ad.transpose(a), ad.lstm(a, h, c, wx, wh, bias)[0], ad.conv2d(img, k),
+            ad.maxpool2d(img), ad.reshape(a, (3, 2)),
             ad.slice_last(a, 0, 2), ad.concat_last(a, b), ad.stack_rows([ad.row(a, 0)]),
             ad.row(a, 1), ad.channels_to_features(img), ad.sum_all(a), ad.scale(a, 2.0)]
 
@@ -322,7 +324,7 @@ def one_call_of_each_op(a, b, img, k):
 def grad_inputs(seed=0):
     rng = np.random.default_rng(seed)
     return [t(rng.uniform(-1, 1, s).astype(np.float32), grad=True)
-            for s in ((2, 3), (2, 3), (1, 4, 4), (2, 1, 3, 3))]
+            for s in ((2, 3), (2, 3), (1, 4, 4), (2, 1, 3, 3), (1, 2), (1, 2), (3, 8), (2, 8), (8,))]
 
 
 class TestTapeScope:
@@ -390,9 +392,21 @@ class TestFusedActivation:
             assert whole.tobytes() == part.tobytes()
 
 
+# x (T=3, F=2), h0 and c0 (1, H=3), wx, wh, b
+LSTM_SHAPES = [(3, 2), (1, 3), (1, 3), (2, 12), (3, 12), (12,)]
+
+
+def lstm_loss(ts, reverse):
+    """A loss reading the hidden rows and the final c."""
+    hs, _, c = ad.lstm(*ts, reverse=reverse)
+    return ad.add(ad.sum_all(ad.tanh(hs)), ad.sum_all(ad.mul(c, c)))
+
+
 OP_CASES = [
     ("matmul", lambda ts: ad.sum_all(ad.tanh(ad.matmul(ts[0], ts[1]))),
      [(3, 4), (4, 2)]),
+    ("lstm", lambda ts: lstm_loss(ts, reverse=False), LSTM_SHAPES),
+    ("lstm-reverse", lambda ts: lstm_loss(ts, reverse=True), LSTM_SHAPES),
     ("add", lambda ts: ad.sum_all(ad.tanh(ad.add(ts[0], ts[1]))), [(3, 4), (3, 4)]),
     ("add-broadcast", lambda ts: ad.sum_all(ad.tanh(ad.add(ts[0], ts[1]))), [(3, 4), (4,)]),
     ("sub", lambda ts: ad.sum_all(ad.tanh(ad.sub(ts[0], ts[1]))), [(2, 5), (2, 5)]),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from streamst import autodiff as ad
 from streamst import model as md
-from streamst.errors import ConfigError, ContractError, InsufficientFramesError
+from streamst.errors import ConfigError, ContractError, InsufficientFramesError, ShapeError
 
 import helpers
 
@@ -89,7 +89,7 @@ class TestLstmStep:
         wx = ad.Tensor(np.zeros((3, 4 * h), np.float32))
         wh = ad.Tensor(np.zeros((h, 4 * h), np.float32))
         b = ad.Tensor(np.zeros(4 * h, np.float32))
-        nh, nc = md.lstm_step(ad.Tensor(np.ones((1, 3), np.float32)), zeros, wx, wh, b)
+        nh, (_, nc) = md.lstm_layer(ad.Tensor(np.ones((1, 3), np.float32)), zeros, wx, wh, b)
         np.testing.assert_array_equal(nh.data, 0)
         np.testing.assert_array_equal(nc.data, 0)
 
@@ -103,8 +103,8 @@ class TestLstmStep:
         bias = np.zeros(4 * h, np.float32)
         bias[0:h] = -1000.0   # input gate shut
         bias[h:2 * h] = 1000.0  # forget gate wide open
-        _, nc = md.lstm_step(ad.Tensor(np.zeros((1, 2), np.float32)), state,
-                             wx, wh, ad.Tensor(bias))
+        _, (_, nc) = md.lstm_layer(ad.Tensor(np.zeros((1, 2), np.float32)), state,
+                                   wx, wh, ad.Tensor(bias))
         np.testing.assert_array_equal(nc.data, c0)
 
     def test_matches_scalar_reference(self):
@@ -131,14 +131,14 @@ class TestLstmStep:
             want_c.append(c)
             want_h.append(sig(go) * math.tanh(c))
 
-        nh, nc = md.lstm_step(ad.Tensor(x), (ad.Tensor(h0), ad.Tensor(c0)),
-                              ad.Tensor(wx), ad.Tensor(wh), ad.Tensor(b))
+        nh, (_, nc) = md.lstm_layer(ad.Tensor(x), (ad.Tensor(h0), ad.Tensor(c0)),
+                                    ad.Tensor(wx), ad.Tensor(wh), ad.Tensor(b))
         np.testing.assert_allclose(nh.data[0], want_h, rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(nc.data[0], want_c, rtol=1e-5, atol=1e-6)
 
 
 class TestFusedGates:
-    """lstm_step runs one sigmoid over the whole gate row; it must match the
+    """The LSTM runs one sigmoid over the whole gate row; it must match the
     cell that activates each gate slice on its own."""
 
     GATE_VALUES = st.one_of(st.sampled_from([0.0, 30.0, -30.0]), st.floats(-30, 30))
@@ -157,27 +157,28 @@ class TestFusedGates:
                      for n in (d, hidden, hidden))
         wx = scale * rng.standard_normal((d, 4 * hidden)).astype(dtype)
         wh = scale * rng.standard_normal((hidden, 4 * hidden)).astype(dtype)
-        nh, nc = md.lstm_step(ad.Tensor(x, dtype=dtype),
-                              (ad.Tensor(h0, dtype=dtype), ad.Tensor(c0, dtype=dtype)),
-                              ad.Tensor(wx, dtype=dtype), ad.Tensor(wh, dtype=dtype),
-                              ad.Tensor(b, dtype=dtype))
+        nh, (_, nc) = md.lstm_layer(ad.Tensor(x, dtype=dtype),
+                                    (ad.Tensor(h0, dtype=dtype), ad.Tensor(c0, dtype=dtype)),
+                                    ad.Tensor(wx, dtype=dtype), ad.Tensor(wh, dtype=dtype),
+                                    ad.Tensor(b, dtype=dtype))
         want_h, want_c = helpers.lstm_step_loop(x, h0, c0, wx, wh, b)
         assert nh.data.dtype == nc.data.dtype == dtype
         assert nh.data.tobytes() == want_h.tobytes()
         assert nc.data.tobytes() == want_c.tobytes()
 
-    def test_records_fifteen_ops(self):
-        """Two matmuls, two adds and one sigmoid for the gate row, four
-        slices, two tanh, three muls and the cell add."""
+    def test_records_one_node_per_layer_call(self):
+        """The whole recurrence is one tape node, whatever T and direction."""
         h, d = 4, 3
         rng = np.random.default_rng(5)
         wx, wh, b = (ad.Tensor(rng.uniform(-1, 1, s).astype(np.float32), requires_grad=True)
                      for s in ((d, 4 * h), (h, 4 * h), (4 * h,)))
-        x = ad.Tensor(rng.uniform(-1, 1, (1, d)).astype(np.float32))
-        state = (ad.Tensor(np.zeros((1, h), np.float32)), ad.Tensor(np.zeros((1, h), np.float32)))
-        with ad.Tape() as tape:
-            md.lstm_step(x, state, wx, wh, b)
-        assert len(tape) == 15
+        for t_len in (1, 2, 7, 40):
+            for reverse in (False, True):
+                x = ad.Tensor(rng.uniform(-1, 1, (t_len, d)).astype(np.float32))
+                with ad.Tape() as tape:
+                    hs, (nh, nc) = md.lstm_layer(x, md.zero_state(h), wx, wh, b, reverse=reverse)
+                assert len(tape) == 1 and tape.ops[0][0] is hs
+                assert hs.shape == (t_len, h) and nh.requires_grad and nc.requires_grad
 
     def test_gradients_pass_fd_check(self):
         h, d = 3, 2
@@ -186,11 +187,94 @@ class TestFusedGates:
                   for s in ((1, d), (1, h), (1, h), (d, 4 * h), (h, 4 * h), (4 * h,))]
 
         def build(ts):
-            nh, nc = md.lstm_step(ts[0], (ts[1], ts[2]), ts[3], ts[4], ts[5])
+            _, (nh, nc) = md.lstm_layer(ts[0], (ts[1], ts[2]), ts[3], ts[4], ts[5])
             return ad.sum_all(ad.add(ad.tanh(nh), ad.mul(nc, nc)))
 
         bad = helpers.fd_gradcheck(build, arrays)
         assert bad is None, "gradient mismatch at %r: analytic %g numeric %g" % bad
+
+
+class TestLstmLayer:
+    """The fused recurrence against the cell oracles: its forward equals a
+    step loop bit for bit, and its backpropagation through time agrees
+    with the gradients of the composed tape-op cell."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), t_len=st.integers(1, 16),
+           hidden=st.integers(1, 32), d=st.integers(1, 8), reverse=st.booleans(),
+           scale=st.sampled_from([0.0, 0.1, 1.0, 10.0]), seed=st.integers(0, 2 ** 16),
+           data=st.data())
+    def test_forward_matches_step_loop(self, dtype, t_len, hidden, d, reverse, scale,
+                                       seed, data):
+        rng = np.random.default_rng(seed)
+        b = np.array(data.draw(st.lists(TestFusedGates.GATE_VALUES, min_size=4 * hidden,
+                                        max_size=4 * hidden)), dtype=dtype)
+        x = scale * rng.standard_normal((t_len, d)).astype(dtype)
+        h, c = (rng.standard_normal((1, hidden)).astype(dtype) for _ in range(2))
+        wx = scale * rng.standard_normal((d, 4 * hidden)).astype(dtype)
+        wh = scale * rng.standard_normal((hidden, 4 * hidden)).astype(dtype)
+        hs, (nh, nc) = md.lstm_layer(ad.Tensor(x, dtype=dtype),
+                                     (ad.Tensor(h, dtype=dtype), ad.Tensor(c, dtype=dtype)),
+                                     ad.Tensor(wx, dtype=dtype), ad.Tensor(wh, dtype=dtype),
+                                     ad.Tensor(b, dtype=dtype), reverse=reverse)
+        want = np.empty((t_len, hidden), dtype=dtype)
+        for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
+            h, c = helpers.lstm_step_loop(x[t:t + 1].copy(), h, c, wx, wh, b)
+            want[t] = h[0]
+        assert hs.data.dtype == nh.data.dtype == nc.data.dtype == dtype
+        assert hs.data.tobytes() == want.tobytes()
+        assert nh.data.tobytes() == h.tobytes()
+        assert nc.data.tobytes() == c.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(t_len=st.integers(1, 8), hidden=st.integers(1, 12), d=st.integers(1, 5),
+           reverse=st.booleans(), scale=st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+           seed=st.integers(0, 2 ** 16))
+    def test_gradients_match_composed_cell(self, t_len, hidden, d, reverse, scale, seed):
+        """The loss reads every hidden row, the final h and the final c, with
+        weights, so each path into the inputs counts."""
+        rng = np.random.default_rng(seed)
+        arrays = [scale * rng.uniform(-1, 1, s).astype(np.float32)
+                  for s in ((t_len, d), (1, hidden), (1, hidden), (d, 4 * hidden),
+                            (hidden, 4 * hidden), (4 * hidden,))]
+        weights = [ad.Tensor(rng.uniform(-1, 1, s).astype(np.float32))
+                   for s in ((t_len, hidden), (1, hidden), (1, hidden))]
+
+        def grads(layer):
+            ts = [ad.Tensor(a, requires_grad=True) for a in arrays]
+            with ad.Tape() as tape:
+                hs, (h, c) = layer(ts[0], (ts[1], ts[2]), *ts[3:], reverse=reverse)
+                loss = ad.sum_all(ad.add(ad.add(ad.mul(ad.tanh(hs), weights[0]),
+                                                ad.mul(h, weights[1])),
+                                         ad.mul(c, weights[2])))
+            ad.backward(tape, loss)
+            return [t.grad for t in ts]
+
+        for got, want in zip(grads(md.lstm_layer), grads(helpers.lstm_layer_steps)):
+            tol = 1e-5 * max(1.0, float(np.abs(want).max()))
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=tol)
+
+    def test_final_state_alone_reaches_the_inputs(self):
+        """A loss that reads only the final c still backpropagates into the
+        weights and the initial state."""
+        rng = np.random.default_rng(8)
+        ts = [ad.Tensor(rng.uniform(-1, 1, s).astype(np.float32), requires_grad=True)
+              for s in ((3, 2), (1, 4), (1, 4), (2, 16), (4, 16), (16,))]
+        with ad.Tape() as tape:
+            _, (_, c) = md.lstm_layer(ts[0], (ts[1], ts[2]), *ts[3:])
+            loss = ad.sum_all(c)
+        ad.backward(tape, loss)
+        assert all(t.grad is not None and np.any(t.grad != 0) for t in ts)
+
+    def test_rejects_a_state_that_would_broadcast(self):
+        """A (1, 1) cell state would broadcast over the hidden width unseen."""
+        wx, wh, b = (ad.Tensor(np.zeros(s, np.float32)) for s in ((2, 16), (4, 16), (16,)))
+        x, h = ad.Tensor(np.zeros((3, 2), np.float32)), ad.Tensor(np.zeros((1, 4), np.float32))
+        for c in (ad.Tensor(np.zeros((1, 1), np.float32)), ad.Tensor(np.zeros((1, 4, 1), np.float32))):
+            with pytest.raises(ShapeError):
+                md.lstm_layer(x, (h, c), wx, wh, b)
+        with pytest.raises(ShapeError):
+            md.lstm_layer(ad.Tensor(np.zeros((0, 2), np.float32)), (h, h), wx, wh, b)
 
 
 class TestEncoder:
