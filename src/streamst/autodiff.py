@@ -12,9 +12,10 @@ reaches.  With no tape active an op costs its numpy forward, its rule
 closure and one attribute read, so inference pays nothing for recording.
 One op spans many steps: lstm runs a whole recurrence on plain arrays and
 records it as one node whose rule is backpropagation through time.
-Convolution and pooling forwards are written so that their floating-point
-accumulation order matches a scalar loop exactly, which downstream streaming
-equivalence checks rely on.
+The conv2d forward adds its products into each output one at a time, in
+the order of a scalar loop, so its outputs are bit-identical to that loop's;
+the streaming equivalence checks rely on it.  numpy's reductions would sum
+in another order, pairwise where the reduced axis is contiguous.
 """
 
 from __future__ import annotations
@@ -316,15 +317,47 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
 # convolution and pooling
 
 
+_CONV_SCRATCH_BYTES = 1 << 18  # cap on one conv2d forward's tap products and their sums
+
+
+def _sum_taps(taps, weights, start, cols) -> None:
+    """cols[co, q] = start[co] + taps[0, 0, 0, 0, q] * weights[0, 0, 0, co, 0] + ...
+
+    Works through the columns in tiles that fit the products of every tap
+    and their sums into _CONV_SCRATCH_BYTES.  In each tile, one multiply per
+    input channel forms all of its tap products, and they are added in
+    place one at a time in (ci, i, j) row-major order.
+    """
+    c_in, kh, kw, c_out, _ = weights.shape
+    n = cols.shape[1]
+    tile = min(n, max(1, _CONV_SCRATCH_BYTES // ((kh * kw + 1) * c_out * cols.itemsize)))
+    prods = np.empty(kh * kw * c_out * tile, dtype=cols.dtype)
+    sums = np.empty(c_out * tile, dtype=cols.dtype)
+    for q0 in range(0, n, tile):
+        m = min(tile, n - q0)
+        prod = prods[:kh * kw * c_out * m].reshape(kh, kw, c_out, m)
+        out = sums[:c_out * m].reshape(c_out, m)
+        out[...] = start
+        for ci in range(c_in):
+            np.multiply(taps[ci, ..., q0:q0 + m], weights[ci], out=prod)
+            for i in range(kh):
+                for j in range(kw):
+                    out += prod[i, j]
+        cols[:, q0:q0 + m] = out
+
+
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: str = "same") -> Tensor:
     """2-d convolution over a (C_in, H, W) input, kernels (C_out, C_in, kh, kw).
 
     Odd kernel sizes only.  "same" pads with zeros so that stride 1 preserves
-    H and W; "valid" does not pad.  The forward adds one shifted input slice,
-    times each output channel's weight, per (c_in, kh, kw) tap in row-major
-    order, so every output is bit-identical to a scalar loop.  The backward
-    sums in another order: reproducible, but not bit-identical to a loop.
+    H and W; "valid" does not pad.  The forward works in a layout where the
+    time axis H is contiguous.  Each output starts at its bias and adds its
+    products one at a time in (c_in, kh, kw) row-major order, so it is
+    bit-identical to a scalar loop.  It adds them in place, one tap at a
+    time, because np.add.reduce and np.sum may sum pairwise, and
+    np.add.accumulate keeps the order but is slower.  The backward sums in
+    another order: reproducible, but not bit-identical to a loop.
     """
     if x.data.ndim != 3:
         raise ShapeError("conv2d input must be (C_in, H, W), got %r" % (x.shape,))
@@ -350,19 +383,31 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError("bias must have shape (%d,), got %r" % (c_out, bias.shape))
 
-    dt = x.data.dtype
-    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=dt)
-    xp[:, ph:ph + h, pw:pw + w] = x.data
-    kd = kernels.data
-    acc = np.full((c_out, ho, wo), 0 if bias is None else bias.data[:, None, None], dtype=dt)
-    for ci in range(c_in):
-        for i in range(kh):
-            for j in range(kw):
-                acc = acc + xp[ci, i:i + ho * stride:stride, j:j + wo * stride:stride] * kd[:, ci, i, j, None, None]
+    dt, s = x.data.dtype, x.data.itemsize
+    # Time-contiguous layout: xp[ci, col, t] is the padded input, and output
+    # (co, oi, oj) is column q = oj * hp + oi of row co of the accumulator.
+    # The hp - ho columns after each output row but the last are computed and
+    # dropped.
+    hp = h + 2 * ph
+    xp = np.zeros((c_in, w + 2 * pw, hp), dtype=dt)
+    xp[:, pw:pw + w, ph:ph + h] = x.data.transpose(0, 2, 1)
+    n = (wo - 1) * hp + ho
+    # taps[ci, i, j, 0, q] lies stride * q elements after xp[ci, j, i], which
+    # is xp[ci, oj * stride + j, oi * stride + i] for q = oj * hp + oi.  The
+    # ndarray constructor checks that the view stays inside xp; it costs a
+    # seventh of as_strided, which also left a 0.9 MB block allocated for
+    # good in a long streaming run.
+    taps = np.ndarray((c_in, kh, kw, 1, n), dt, xp, 0, (xp.strides[0], s, hp * s, 0, stride * s))
+    weights = kernels.data.transpose(1, 2, 3, 0)[..., None]  # (C_in, kh, kw, C_out, 1)
+    acc = np.empty((c_out, wo, hp), dtype=dt)
+    start = 0 if bias is None else bias.data[:, None]
+    _sum_taps(taps, weights, start, acc.reshape(c_out, wo * hp)[:, :n])
+    y = np.ascontiguousarray(acc[:, :, :ho].transpose(0, 2, 1))
+    kd, xp = kernels.data, xp.transpose(0, 2, 1)  # (C_in, H + 2ph, W + 2pw) for the backward
 
     def rule(g):
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros(xp.shape, dtype=dt)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += np.tensordot(kd[:, :, i, j], g, axes=(0, 0))
@@ -374,7 +419,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(1, 2)))
 
-    return _op(acc, (x, kernels) if bias is None else (x, kernels, bias), rule)
+    return _op(y, (x, kernels) if bias is None else (x, kernels, bias), rule)
 
 
 def maxpool2d(x: Tensor, pool: int = 2, stride: int = 2) -> Tensor:

@@ -513,8 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_simulate)
 
     p = subparser("bench", help="time online decoding per strategy",
-                  description="BLAS threads follow the environment set before launch, "
-                  "for example OMP_NUM_THREADS=1 streamst bench.")
+                  description="A quick mean per strategy.  BLAS threads follow the "
+                  "environment set before launch, for example OMP_NUM_THREADS=1 streamst "
+                  "bench.  For careful numbers (BLAS pinned, medians over timed rounds, "
+                  "checked outputs, per-layer traces) run perfbench/run.py from a checkout.")
     _add_config_flag(p)
     p.add_argument("--frames", type=int, default=2000)
     p.add_argument("--k", type=int, default=100)

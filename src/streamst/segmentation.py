@@ -134,7 +134,14 @@ def random_plan(total_frames: int, low: int, high: int, seed: int,
 
 
 def save_word_boundaries(path, table: dict) -> None:
-    """Write word extents per utterance.  Word text is not stored."""
+    """Write word extents per utterance.  Word text is not stored.
+
+    An utterance id may not contain a tab or a line break, which would make
+    the file unreadable; an utterance may have no spans.
+    """
+    for utt_id in table:
+        if any(c in utt_id for c in "\t\n\r"):
+            raise ConfigError("utterance id %r contains a tab or a line break" % (utt_id,))
     with open(path, "w", encoding="utf-8") as f:
         for utt_id, spans in table.items():
             cells = ",".join("%d:%d" % (sp.start, sp.end) for sp in spans)
@@ -152,7 +159,7 @@ def load_word_boundaries(path) -> dict:
             try:
                 utt_id, cells = line.split("\t")
                 spans = []
-                for cell in cells.split(","):
+                for cell in cells.split(",") if cells else ():
                     a, b = cell.split(":")
                     spans.append(WordSpan("", int(a), int(b)))
             except ValueError:

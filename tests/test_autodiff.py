@@ -3,6 +3,7 @@
 import inspect
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,59 @@ class TestConv2d:
         for name, got, ref, mag, n in zip(("input", "kernel", "bias"), (dx, dk, db),
                                           oracle, magnitude, terms):
             assert np.all(np.abs(got - ref) <= (n + 1) * eps * mag), "%s gradient off" % name
+
+    @settings(max_examples=60, deadline=None)
+    @given(c_in=st.integers(1, 8), c_out=st.integers(1, 8), kh=st.sampled_from([1, 3, 5]),
+           kw=st.sampled_from([1, 3, 5]), stride=st.integers(1, 2),
+           padding=st.sampled_from(["same", "valid"]), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_matches_loop_oracle_over_long_time_axes(self, c_in, c_out, kh, kw, stride,
+                                                     padding, seed, data):
+        # H runs to 600 so that the forward's scratch tiles and their short
+        # last tile are crossed; the oracle's cost caps H for wide layers
+        ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if padding == "same" else (0, 0)
+        w = data.draw(st.integers(kw - 2 * pw, 24), label="w")
+        wo = (w + 2 * pw - kw) // stride + 1
+        low = kh - 2 * ph
+        high = max(low, min(600, stride * 400_000 // (c_in * c_out * kh * kw * wo)))
+        h = data.draw(st.integers(max(low, high // 2), high), label="h")
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((c_in, h, w)).astype(np.float32)
+        k = rng.standard_normal((c_out, c_in, kh, kw)).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        got = ad.conv2d(t(x), t(k), t(b), stride=stride, padding=padding).data
+        want = helpers.conv2d_loop(x, k, b, stride=stride, padding=padding)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), "conv forward differs from the scalar loop"
+
+    def test_single_output_sums_its_terms_in_loop_order(self):
+        # bias + 25 products: 1e8 + 1 rounds back to 1e8, -1e8 cancels it,
+        # and the 23 ones that follow give 23; a pairwise sum gives another value
+        x = np.ones((1, 5, 5), dtype=np.float32)
+        x[0, 0, 1] = -1e8
+        k = np.ones((1, 1, 5, 5), dtype=np.float32)
+        b = np.array([1e8], dtype=np.float32)
+        got = ad.conv2d(t(x), t(k), t(b), padding="valid").data
+        assert helpers.conv2d_loop(x, k, b, padding="valid").tolist() == [[[23.0]]]
+        assert got.tolist() == [[[23.0]]]
+
+    def test_forward_scratch_is_bounded(self):
+        # One forward holds the padded input, an accumulator and the output,
+        # plus scratch that does not grow with H; forming every tap product
+        # at once would take 9 times the output here.
+        rng = np.random.default_rng(12)
+        x = t(rng.standard_normal((2, 4000, 8)).astype(np.float32))
+        k = t(rng.standard_normal((2, 2, 3, 3)).astype(np.float32))
+        padded_bytes = 2 * 4002 * 10 * 4
+        ad.conv2d(x, k)
+        tracemalloc.start()
+        try:
+            y = ad.conv2d(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (2, 4000, 8)
+        assert peak <= padded_bytes + 3 * y.data.nbytes
 
     def test_same_padding_shape_formula(self):
         for hh in range(3, 9):

@@ -3,6 +3,7 @@
 import logging
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamst import segmentation as seg
 from streamst.errors import ConfigError, EmptyUtteranceError
@@ -138,6 +139,7 @@ class TestBoundaryFiles:
         table = {
             "utt0": [seg.WordSpan("", 0, 40), seg.WordSpan("", 40, 88)],
             "utt1": [seg.WordSpan("", 0, 56)],
+            "utt2": [],
         }
         path = tmp_path / "bounds.tsv"
         seg.save_word_boundaries(path, table)
@@ -150,6 +152,25 @@ class TestBoundaryFiles:
         with pytest.raises(ConfigError) as e:
             seg.load_word_boundaries(path)
         assert "line 2" in str(e.value)
+
+    @pytest.mark.parametrize("utt_id", ["a\tb", "a\nb", "a\rb", "\n"])
+    def test_id_with_tab_or_line_break_rejected(self, tmp_path, utt_id):
+        path = tmp_path / "bounds.tsv"
+        with pytest.raises(ConfigError):
+            seg.save_word_boundaries(path, {"ok": [], utt_id: [seg.WordSpan("", 0, 4)]})
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=st.dictionaries(
+        st.text(st.characters(exclude_characters="\t\n\r")),
+        st.lists(st.builds(seg.WordSpan, st.just(""), st.integers(), st.integers()), max_size=6),
+        max_size=6))
+    def test_roundtrip_any_table(self, tmp_path_factory, table):
+        path = tmp_path_factory.getbasetemp() / "any-bounds.tsv"
+        seg.save_word_boundaries(path, table)
+        back = seg.load_word_boundaries(path)
+        assert back == table
+        assert list(back) == list(table)
 
     def test_duplicate_utterance_rejected(self, tmp_path):
         path = tmp_path / "dup.tsv"
