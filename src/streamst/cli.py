@@ -9,6 +9,7 @@ so a repeated run reproduces every output byte except wall-clock columns.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import statistics
@@ -24,11 +25,11 @@ from .decoder import (FRAME_MS, DecodePolicy, offline_translate, read_traces,
                       simulate, write_traces)
 from .encoding import STRATEGIES
 from .errors import ConfigError
-from .metrics import (bleu, extract_subsets, lagging_difficulty, tradeoff_table,
-                      utterance_lagging, write_tradeoff_csv)
+from .metrics import (TRADEOFF_COLUMNS, bleu, extract_subsets, lagging_difficulty,
+                      tradeoff_table, utterance_lagging)
 from .model import ModelConfig, create_parameters, load_checkpoint, save_checkpoint
 from .segmentation import fixed_plan, oracle_word_plan, random_plan
-from .synthetic import (SyntheticSpec, generate_corpus, load_corpus, save_corpus)
+from .synthetic import SyntheticSpec, generate_corpus, load_corpus, save_corpus, write_rows
 from .training import OPTIMIZERS, TrainConfig, train
 
 logger = logging.getLogger(__name__)
@@ -121,9 +122,7 @@ def _cmd_translate(args) -> int:
     for utt_id in corpus.ids:
         hyps.append(offline_translate(corpus.features[utt_id], params, cfg))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            for utt_id, hyp in zip(corpus.ids, hyps):
-                f.write("%s\t%s\n" % (utt_id, hyp))
+        write_rows(args.out, zip(corpus.ids, hyps))
     refs = [corpus.targets[i] for i in corpus.ids]
     score = bleu(hyps, refs, tokenize=args.tokenize)
     print("BLEU %.6f over %d utterances" % (score, len(hyps)))
@@ -246,6 +245,16 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
     rows = tradeoff_table(_read_sweep(out)[1], corpus.targets, tokenize=tokenize)
     write_tradeoff_csv(out / "tradeoff.csv", rows)
     return rows
+
+
+def write_tradeoff_csv(path, rows: list) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(TRADEOFF_COLUMNS)
+        for r in rows:
+            w.writerow([r.strategy, r.k, r.s, r.n_tokens, r.segmentation,
+                        "%.6f" % r.bleu, "%.3f" % r.al_ms,
+                        "%.1f" % r.frames_processed, "%.1f" % r.wall_ns])
 
 
 def _cmd_simulate(args) -> int:
@@ -398,10 +407,10 @@ def _cmd_report(args) -> int:
     written = [str(out / "curves.csv"), str(out / "per_utterance.jsonl")]
     if corpus.alignments:
         scores = [lagging_difficulty(a) for a in corpus.alignments]
-        with open(out / "difficulty.csv", "w", encoding="utf-8") as f:
-            f.write("utt_id,difficulty,cutoff\n")
-            for sc in scores:
-                f.write("%s,%.6f,%d\n" % (sc.utt_id, sc.value, sc.tau))
+        with open(out / "difficulty.csv", "w", encoding="utf-8", newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(["utt_id", "difficulty", "cutoff"])
+            w.writerows([sc.utt_id, "%.6f" % sc.value, sc.tau] for sc in scores)
         written.append(str(out / "difficulty.csv"))
         if args.subset_size:
             hardest, easiest = extract_subsets(scores, args.subset_size)

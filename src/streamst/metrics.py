@@ -11,7 +11,6 @@ the furthest aligned source position minus the evenly-paced diagonal.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from collections import Counter
@@ -23,6 +22,8 @@ logger = logging.getLogger(__name__)
 
 TRADEOFF_COLUMNS = ["strategy", "k", "s", "N", "segmentation",
                     "BLEU", "AL_ms", "frames_processed", "wall_ns"]
+
+BLEU_ORDER = 4
 
 
 def _tokens(text: str, mode: str) -> list:
@@ -41,21 +42,20 @@ def _ngrams(tokens: list, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(hypotheses: list, references: list, max_order: int = 4,
-         smooth_eps: float | None = None, tokenize: str = "word") -> float:
-    """Corpus BLEU in [0, 1].
+def bleu(hypotheses: list, references: list, tokenize: str = "word") -> float:
+    """Corpus BLEU in [0, 1] over n-grams of orders 1 to BLEU_ORDER.
 
     Orders with no hypothesis n-grams anywhere in the corpus are left out of
     the geometric mean; an order with candidates but zero matches sends the
-    score to zero unless smooth_eps substitutes a small floor precision.
+    score to zero.
     """
     if not hypotheses:
         raise ValueError("empty hypothesis corpus")
     if len(hypotheses) != len(references):
         raise ValueError("%d hypotheses against %d references"
                          % (len(hypotheses), len(references)))
-    matches = [0] * max_order
-    guesses = [0] * max_order
+    matches = [0] * BLEU_ORDER
+    guesses = [0] * BLEU_ORDER
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
@@ -63,7 +63,7 @@ def bleu(hypotheses: list, references: list, max_order: int = 4,
         r = _tokens(ref, tokenize)
         hyp_len += len(h)
         ref_len += len(r)
-        for n in range(1, max_order + 1):
+        for n in range(1, BLEU_ORDER + 1):
             hc = _ngrams(h, n)
             if not hc:
                 continue
@@ -74,18 +74,13 @@ def bleu(hypotheses: list, references: list, max_order: int = 4,
         return 0.0
     log_sum = 0.0
     used = 0
-    for n in range(max_order):
+    for n in range(BLEU_ORDER):
         if guesses[n] == 0:
             continue  # nothing this long anywhere; leave the order out
-        used += 1
         if matches[n] == 0:
-            if smooth_eps is None:
-                return 0.0
-            log_sum += math.log(smooth_eps)
-        else:
-            log_sum += math.log(matches[n] / guesses[n])
-    if used == 0:
-        return 0.0
+            return 0.0
+        used += 1
+        log_sum += math.log(matches[n] / guesses[n])
     brevity = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
     return brevity * math.exp(log_sum / used)
 
@@ -195,37 +190,6 @@ def extract_subsets(scores: list, n: int):
 
 
 # ---------------------------------------------------------------------------
-# alignment files: one line per utterance of "i-j" pairs, 0-based on disk
-
-
-def save_alignments(path, aligns: list) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for a in aligns:
-            cells = sorted((i - 1, t - 1) for i, t in a.pairs)
-            f.write(" ".join("%d-%d" % c for c in cells) + "\n")
-
-
-def load_alignments(path, ids: list, src_lens: list, tgt_lens: list) -> list:
-    """Read alignments; line order must follow the given utterance order."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if len(lines) != len(ids):
-        raise ConfigError("%s has %d lines for %d utterances" % (path, len(lines), len(ids)))
-    out = []
-    for utt_id, src_len, tgt_len, line in zip(ids, src_lens, tgt_lens, lines):
-        pairs = set()
-        for cell in line.split():
-            try:
-                i, t = cell.split("-")
-                pairs.add((int(i) + 1, int(t) + 1))
-            except ValueError:
-                raise ConfigError("%s has malformed pair %r for %r"
-                                  % (path, cell, utt_id)) from None
-        out.append(AlignmentSet(utt_id, src_len, tgt_len, frozenset(pairs)))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # trade-off tables
 
 
@@ -283,12 +247,3 @@ def tradeoff_table(results: list, references: dict, tokenize: str = "word") -> l
         ))
     return rows
 
-
-def write_tradeoff_csv(path, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(TRADEOFF_COLUMNS)
-        for r in rows:
-            w.writerow([r.strategy, r.k, r.s, r.n_tokens, r.segmentation,
-                        "%.6f" % r.bleu, "%.3f" % r.al_ms,
-                        "%.1f" % r.frames_processed, "%.1f" % r.wall_ns])

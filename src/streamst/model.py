@@ -122,9 +122,6 @@ class Parameters:
     def __len__(self) -> int:
         return len(self._named)
 
-    def names(self) -> list:
-        return [n for n, _ in self._named]
-
     def zero_grads(self) -> None:
         for _, t in self._named:
             t.zero_grad()

@@ -49,14 +49,6 @@ class SegmentationPlan:
             raise ConfigError("plan for %r ends at %d, utterance has %d frames"
                               % (self.utt_id, prev, self.total_frames))
 
-    @property
-    def segment_sizes(self) -> tuple:
-        out, prev = [], 0
-        for b in self.boundaries:
-            out.append(b - prev)
-            prev = b
-        return tuple(out)
-
 
 def fixed_plan(total_frames: int, k: int, s: int, utt_id: str = "") -> SegmentationPlan:
     """Wait k frames, then read s frames at a time until the input ends.
@@ -64,8 +56,6 @@ def fixed_plan(total_frames: int, k: int, s: int, utt_id: str = "") -> Segmentat
     k = 0 starts with a plain stride read.  A k beyond the utterance length
     collapses to a single read of everything.
     """
-    if total_frames < 1:
-        raise EmptyUtteranceError("utterance %r has no frames" % (utt_id,))
     if k < 0:
         raise ConfigError("k must be non-negative, got %d" % k)
     if s < 1:
@@ -116,8 +106,6 @@ def random_plan(total_frames: int, low: int, high: int, seed: int,
                 utt_id: str = "") -> SegmentationPlan:
     """Segment sizes drawn uniformly from [low, high]; the last draw is cut
     back to the utterance end, so the final segment may run short."""
-    if total_frames < 1:
-        raise EmptyUtteranceError("utterance %r has no frames" % (utt_id,))
     if low < 1 or high < low:
         raise ConfigError("need 1 <= low <= high, got [%d, %d]" % (low, high))
     rng = random.Random(seed)
@@ -127,44 +115,3 @@ def random_plan(total_frames: int, low: int, high: int, seed: int,
         cum = min(cum + rng.randint(low, high), total_frames)
         bounds.append(cum)
     return SegmentationPlan(utt_id, total_frames, tuple(bounds))
-
-
-# ---------------------------------------------------------------------------
-# word boundary files: one utterance per line, "<utt_id>\t<start>:<end>,..."
-
-
-def save_word_boundaries(path, table: dict) -> None:
-    """Write word extents per utterance.  Word text is not stored.
-
-    An utterance id may not contain a tab or a line break, which would make
-    the file unreadable; an utterance may have no spans.
-    """
-    for utt_id in table:
-        if any(c in utt_id for c in "\t\n\r"):
-            raise ConfigError("utterance id %r contains a tab or a line break" % (utt_id,))
-    with open(path, "w", encoding="utf-8") as f:
-        for utt_id, spans in table.items():
-            cells = ",".join("%d:%d" % (sp.start, sp.end) for sp in spans)
-            f.write("%s\t%s\n" % (utt_id, cells))
-
-
-def load_word_boundaries(path) -> dict:
-    """Read word extents; spans come back with empty word text."""
-    table: dict = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                utt_id, cells = line.split("\t")
-                spans = []
-                for cell in cells.split(",") if cells else ():
-                    a, b = cell.split(":")
-                    spans.append(WordSpan("", int(a), int(b)))
-            except ValueError:
-                raise ConfigError("%s line %d is not a boundary row" % (path, lineno)) from None
-            if utt_id in table:
-                raise ConfigError("%s line %d repeats utterance %r" % (path, lineno, utt_id))
-            table[utt_id] = spans
-    return table

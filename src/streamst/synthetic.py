@@ -6,7 +6,8 @@ quality is measurable without human references.  Each source symbol (letters
 and spaces alike) emits a fixed number of feature frames: a per-symbol mean
 vector plus gaussian noise.  A fraction of utterances can have their target
 word order reversed, which makes their alignments anti-monotone and their
-early target words depend on late source material.
+early target words depend on late source material.  This module alone reads
+and writes a corpus directory's files.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import AlignmentSet, load_alignments, save_alignments
-from .segmentation import WordSpan, load_word_boundaries, save_word_boundaries
+from .metrics import AlignmentSet
+from .segmentation import WordSpan
 
 FEATURES_MAGIC = b"SIMF"
 
@@ -228,7 +229,8 @@ def read_features(path) -> list:
 
 
 # ---------------------------------------------------------------------------
-# corpus directories
+# corpus directories: features.simf, the id<TAB>cell rows of source.tsv,
+# target.tsv and boundaries.tsv, and the positional alignments.txt
 
 
 @dataclass
@@ -254,51 +256,133 @@ def as_loaded(corpus: list) -> LoadedCorpus:
         alignments=[u.alignment for u in corpus])
 
 
-def _write_tsv(path, rows) -> None:
+def _checked(rows) -> list:
+    """The (id, cell) rows as a list, once each is known to read back
+    unchanged: the id holds no tab or line break and appears once, the cell
+    holds no line break, and both encode as UTF-8."""
+    rows = list(rows)
+    seen = set()
+    for utt_id, cell in rows:
+        try:
+            (utt_id + cell).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError("utterance %r: id or text is not UTF-8" % (utt_id,)) from None
+        if any(c in utt_id for c in "\t\r\n") or "\r" in cell or "\n" in cell:
+            raise ConfigError("utterance %r: tab or line break in the id, or line break "
+                              "in its text" % (utt_id,))
+        if utt_id in seen:
+            raise ConfigError("utterance %r appears twice" % (utt_id,))
+        seen.add(utt_id)
+    return rows
+
+
+def write_rows(path, rows) -> None:
+    """Write (id, cell) rows as id<TAB>cell lines; every row is checked
+    before the file is opened."""
+    rows = _checked(rows)
     with open(path, "w", encoding="utf-8") as f:
-        for utt_id, text in rows:
-            f.write("%s\t%s\n" % (utt_id, text))
+        for utt_id, cell in rows:
+            f.write("%s\t%s\n" % (utt_id, cell))
 
 
-def _read_tsv(path) -> dict:
-    out = {}
+def read_rows(path, parse=str) -> dict:
+    """id -> parse(cell) for every id<TAB>cell line, in file order.  A line
+    without a tab, a cell that parse rejects with ValueError, or a repeated
+    id raises ConfigError naming the line."""
+    table: dict = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             try:
-                utt_id, text = line.split("\t", 1)
+                utt_id, cell = line.split("\t", 1)
+                value = parse(cell)
             except ValueError:
-                raise ConfigError("%s line %d is not id<TAB>text" % (path, lineno)) from None
-            out[utt_id] = text
+                raise ConfigError("%s line %d is not id<TAB>cell" % (path, lineno)) from None
+            if utt_id in table:
+                raise ConfigError("%s line %d repeats utterance %r" % (path, lineno, utt_id))
+            table[utt_id] = value
+    return table
+
+
+def save_word_boundaries(path, table: dict) -> None:
+    """Write each utterance's word extents as start:end cells joined by
+    commas.  Word text is not stored; an utterance may have no spans."""
+    write_rows(path, ((utt_id, ",".join("%d:%d" % (sp.start, sp.end) for sp in spans))
+                      for utt_id, spans in table.items()))
+
+
+def _spans(cell: str) -> list:
+    spans = []
+    for extent in cell.split(",") if cell else ():
+        start, end = extent.split(":")
+        spans.append(WordSpan("", int(start), int(end)))
+    return spans
+
+
+def load_word_boundaries(path) -> dict:
+    """Read word extents; spans come back with empty word text."""
+    return read_rows(path, _spans)
+
+
+def save_alignments(path, aligns: list) -> None:
+    """One line per utterance, in corpus order, of 0-based "i-j" pairs."""
+    with open(path, "w", encoding="utf-8") as f:
+        for a in aligns:
+            cells = sorted((i - 1, t - 1) for i, t in a.pairs)
+            f.write(" ".join("%d-%d" % c for c in cells) + "\n")
+
+
+def load_alignments(path, ids: list, src_lens: list, tgt_lens: list) -> list:
+    """Read alignments; line order must follow the given utterance order."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    if len(lines) != len(ids):
+        raise ConfigError("%s has %d lines for %d utterances" % (path, len(lines), len(ids)))
+    out = []
+    for utt_id, src_len, tgt_len, line in zip(ids, src_lens, tgt_lens, lines):
+        pairs = set()
+        for cell in line.split():
+            try:
+                i, t = cell.split("-")
+                pairs.add((int(i) + 1, int(t) + 1))
+            except ValueError:
+                raise ConfigError("%s has malformed pair %r for %r"
+                                  % (path, cell, utt_id)) from None
+        out.append(AlignmentSet(utt_id, src_len, tgt_len, frozenset(pairs)))
     return out
 
 
 def save_corpus(out_dir, corpus: list) -> None:
-    """Write features, texts, word boundaries, and alignments."""
+    """Write features, texts, word boundaries, and alignments.  Every id and
+    text is checked first, so a rejected corpus writes no file."""
+    sources = _checked((u.utt_id, u.source) for u in corpus)
+    targets = _checked((u.utt_id, u.target) for u in corpus)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_features(out / "features.simf", [(u.utt_id, u.frames) for u in corpus])
-    _write_tsv(out / "source.tsv", [(u.utt_id, u.source) for u in corpus])
-    _write_tsv(out / "target.tsv", [(u.utt_id, u.target) for u in corpus])
+    write_rows(out / "source.tsv", sources)
+    write_rows(out / "target.tsv", targets)
     save_word_boundaries(out / "boundaries.tsv",
                          {u.utt_id: u.words for u in corpus})
     save_alignments(out / "alignments.txt", [u.alignment for u in corpus])
 
 
 def load_corpus(data_dir) -> LoadedCorpus:
-    """Read a corpus directory written by save_corpus."""
+    """Read a corpus directory written by save_corpus; every feature id
+    needs a source row and a target row."""
     root = Path(data_dir)
     items = read_features(root / "features.simf")
     ids = [utt_id for utt_id, _ in items]
     features = dict(items)
-    sources = _read_tsv(root / "source.tsv")
-    targets = _read_tsv(root / "target.tsv")
+    sources = read_rows(root / "source.tsv")
+    targets = read_rows(root / "target.tsv")
     spans = load_word_boundaries(root / "boundaries.tsv")
-    missing = [i for i in ids if i not in targets]
-    if missing:
-        raise ConfigError("no target text for %s" % ", ".join(missing[:3]))
+    for side, texts in (("source", sources), ("target", targets)):
+        missing = [i for i in ids if i not in texts]
+        if missing:
+            raise ConfigError("no %s text for %s" % (side, ", ".join(missing[:3])))
     aligns = []
     align_path = root / "alignments.txt"
     if align_path.exists():

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from streamst import cli, training
 from streamst.decoder import read_traces
 from streamst.metrics import TRADEOFF_COLUMNS
 from streamst.model import load_checkpoint
-from streamst.synthetic import SyntheticSpec, generate_corpus
+from streamst.synthetic import SyntheticSpec, generate_corpus, save_corpus
 
 GEN_ARGS = ["--utterances", "10", "--min-len", "4", "--max-len", "8",
             "--seed", "1", "--frames-per-symbol", "4", "--feat-dim", "6"]
@@ -291,6 +292,26 @@ def test_report_builds_tables_difficulty_and_subsets(corpus_dir, model_path,
         assert len(ids) == 3
         sub_rows = canonical_csv(out / ("curves_%s.csv" % label))
         assert len(sub_rows) == 3
+
+
+def test_report_difficulty_rows_keep_ids_with_commas_and_quotes(model_path, tmp_path):
+    spec = SyntheticSpec(frames_per_symbol=4, feat_dim=6)
+    ids = ['a,b', 'say "hi"', "plain"]
+    corpus = [dataclasses.replace(u, utt_id=i, alignment=dataclasses.replace(u.alignment,
+                                                                            utt_id=i))
+              for u, i in zip(generate_corpus(spec, 3, 4, 8, seed=1), ids)]
+    data = tmp_path / "data"
+    save_corpus(data, corpus)
+    sweep = tmp_path / "sweep"
+    assert run_simulate(data, model_path, sweep, ["--k", "8", "--s", "16"]) == 0
+    out = tmp_path / "rep"
+    assert cli.main(["report", "--sweep", str(sweep), "--data", str(data),
+                     "--out", str(out)]) == 0
+    with open(out / "difficulty.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["utt_id", "difficulty", "cutoff"]
+    assert [row[0] for row in rows[1:]] == ids
+    assert all(len(row) == 3 and float(row[1]) == 1.0 for row in rows[1:])
 
 
 def test_report_missing_sweep_fails_naming_the_path(corpus_dir, tmp_path, capsys):

@@ -416,7 +416,7 @@ class TestWholeModelGradients:
         targets = [3, 4, md.EOS_ID]
         base = md.create_parameters(cfg, seed=13)
         arrays = [t.data.astype(np.float64) for _, t in base]
-        names = base.names()
+        names = [n for n, _ in base]
 
         def build(tensors):
             params = md.Parameters(list(zip(names, tensors)))
@@ -489,4 +489,4 @@ class TestCheckpoint:
         md.save_checkpoint(path, cfg, params)
         cfg2, params2 = md.load_checkpoint(path)
         assert cfg2.bidirectional is True
-        assert params2.names() == params.names()
+        assert [n for n, _ in params2] == [n for n, _ in params]

@@ -1,19 +1,24 @@
-"""Tests for read scheduling policies and boundary files."""
+"""Tests for read scheduling policies and the corpus's word-boundary files."""
 
 import logging
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streamst import segmentation as seg
+from streamst import synthetic as sy
 from streamst.errors import ConfigError, EmptyUtteranceError
+
+
+def segment_sizes(plan) -> tuple:
+    return tuple(b - a for a, b in zip((0,) + plan.boundaries, plan.boundaries))
 
 
 class TestFixedPlan:
     def test_wait_then_stride(self):
         plan = seg.fixed_plan(130, k=100, s=10)
         assert plan.boundaries == (100, 110, 120, 130)
-        assert plan.segment_sizes == (100, 10, 10, 10)
+        assert segment_sizes(plan) == (100, 10, 10, 10)
 
     def test_k_beyond_utterance_reads_everything_once(self):
         assert seg.fixed_plan(95, k=100, s=10).boundaries == (95,)
@@ -42,7 +47,7 @@ class TestFixedPlan:
         for t_len in (5, 50, 130, 301):
             plan = seg.fixed_plan(t_len, k=k, s=s)
             assert plan.boundaries[-1] == t_len
-            assert all(sz >= 1 for sz in plan.segment_sizes)
+            assert all(sz >= 1 for sz in segment_sizes(plan))
 
 
 class TestOracleWordPlan:
@@ -108,7 +113,7 @@ class TestRandomPlan:
     def test_sizes_within_bounds(self, low, high):
         for seed in range(5):
             plan = seg.random_plan(500, low=low, high=high, seed=seed)
-            sizes = plan.segment_sizes
+            sizes = segment_sizes(plan)
             assert all(low <= sz <= high for sz in sizes[:-1])
             assert 1 <= sizes[-1] <= high
             assert plan.boundaries[-1] == 500
@@ -134,6 +139,15 @@ class TestPlanValidation:
             seg.SegmentationPlan("u", 30, ())
 
 
+def unreadable_id(utt_id: str) -> bool:
+    """True when an id cannot come back from an id<TAB>cell row."""
+    try:
+        utt_id.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return any(c in utt_id for c in "\t\r\n")
+
+
 class TestBoundaryFiles:
     def test_roundtrip(self, tmp_path):
         table = {
@@ -142,33 +156,42 @@ class TestBoundaryFiles:
             "utt2": [],
         }
         path = tmp_path / "bounds.tsv"
-        seg.save_word_boundaries(path, table)
-        back = seg.load_word_boundaries(path)
+        sy.save_word_boundaries(path, table)
+        back = sy.load_word_boundaries(path)
         assert back == table
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("utt0\t0:40\nutt1\tnot-a-span\n")
         with pytest.raises(ConfigError) as e:
-            seg.load_word_boundaries(path)
+            sy.load_word_boundaries(path)
         assert "line 2" in str(e.value)
 
     @pytest.mark.parametrize("utt_id", ["a\tb", "a\nb", "a\rb", "\n"])
     def test_id_with_tab_or_line_break_rejected(self, tmp_path, utt_id):
         path = tmp_path / "bounds.tsv"
         with pytest.raises(ConfigError):
-            seg.save_word_boundaries(path, {"ok": [], utt_id: [seg.WordSpan("", 0, 4)]})
+            sy.save_word_boundaries(path, {"ok": [], utt_id: [seg.WordSpan("", 0, 4)]})
         assert not path.exists()
 
     @settings(max_examples=200, deadline=None)
     @given(table=st.dictionaries(
-        st.text(st.characters(exclude_characters="\t\n\r")),
+        st.text(st.characters(exclude_categories=[])),
         st.lists(st.builds(seg.WordSpan, st.just(""), st.integers(), st.integers()), max_size=6),
         max_size=6))
+    @example(table={"ok": [], chr(0xD800): [seg.WordSpan("", 0, 4)]})
+    @example(table={"a\tb": []})
     def test_roundtrip_any_table(self, tmp_path_factory, table):
         path = tmp_path_factory.getbasetemp() / "any-bounds.tsv"
-        seg.save_word_boundaries(path, table)
-        back = seg.load_word_boundaries(path)
+        path.unlink(missing_ok=True)
+        try:
+            sy.save_word_boundaries(path, table)
+        except ConfigError:
+            assert any(unreadable_id(i) for i in table)
+            assert not path.exists()
+            return
+        assert not any(unreadable_id(i) for i in table)
+        back = sy.load_word_boundaries(path)
         assert back == table
         assert list(back) == list(table)
 
@@ -176,4 +199,4 @@ class TestBoundaryFiles:
         path = tmp_path / "dup.tsv"
         path.write_text("utt0\t0:40\nutt0\t0:40\n")
         with pytest.raises(ConfigError):
-            seg.load_word_boundaries(path)
+            sy.load_word_boundaries(path)

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from streamst.errors import ConfigError
+from streamst.metrics import AlignmentSet
+from streamst.segmentation import WordSpan
 from streamst.synthetic import (FEATURES_MAGIC, SOURCE_ALPHABET, SyntheticSpec,
-                                base_vectors, generate_corpus, load_corpus,
-                                read_features, save_corpus, split_holdout,
-                                write_features)
+                                Utterance, base_vectors, generate_corpus,
+                                load_corpus, read_features, save_corpus,
+                                split_holdout, write_features)
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +281,62 @@ def test_load_corpus_reports_missing_targets(tmp_path, small_spec):
     (tmp_path / "data" / "target.tsv").write_text("utt0000\tABC\n")
     with pytest.raises(ConfigError, match="utt0001"):
         load_corpus(tmp_path / "data")
+
+
+def test_load_corpus_reports_missing_sources(tmp_path, small_spec):
+    corpus = generate_corpus(small_spec, 3, 5, 9, seed=8)
+    save_corpus(tmp_path / "data", corpus)
+    (tmp_path / "data" / "source.tsv").write_text("utt0000\tabc\n")
+    with pytest.raises(ConfigError, match="no source text for utt0001"):
+        load_corpus(tmp_path / "data")
+
+
+def readable_row(utt_id: str, text: str) -> bool:
+    """True when an id<TAB>text row reads back as written."""
+    try:
+        (utt_id + text).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return not any(c in utt_id for c in "\t\r\n") and not any(c in text for c in "\r\n")
+
+
+def has_a_word(text: str) -> bool:
+    return len(text.split()) > 0
+
+
+ANY_TEXT = st.text(st.characters(exclude_categories=[]))
+# an utterance's alignment needs a word on each side
+ANY_WORDS = ANY_TEXT.filter(has_a_word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(ANY_TEXT, ANY_WORDS, ANY_WORDS), min_size=1, max_size=4))
+@example(rows=[("utt0", "ab cd", "DE FG"), ("utt0", "x", "Y")])
+@example(rows=[("utt0", "ab", "DE"), ("u" + chr(0xDC00), "x", "Y")])
+@example(rows=[("a\tb", "x", "Y")])
+@example(rows=[("utt0", "ab", "DE\nFG")])
+def test_corpus_directory_round_trips_or_writes_nothing(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("corpus") / "data"
+    corpus = []
+    for n, (utt_id, source, target) in enumerate(rows):
+        n_src, n_tgt = len(source.split()), len(target.split())
+        corpus.append(Utterance(
+            utt_id, source, target, np.full((4 + n, 3), n, dtype=np.float32),
+            [WordSpan("", 0, 2), WordSpan("", 2, 4 + n)],
+            AlignmentSet(utt_id, n_src, n_tgt, frozenset({(1, 1), (n_src, n_tgt)}))))
+    ids = [utt_id for utt_id, _, _ in rows]
+    try:
+        save_corpus(out, corpus)
+    except ConfigError:
+        assert len(set(ids)) < len(ids) or not all(
+            readable_row(i, text) for i, s, t in rows for text in (s, t))
+        assert not out.exists()
+        return
+    loaded = load_corpus(out)
+    assert loaded.ids == ids
+    assert loaded.sources == {i: s for i, s, _ in rows}
+    assert loaded.targets == {i: t for i, _, t in rows}
+    for utt in corpus:
+        assert np.array_equal(loaded.features[utt.utt_id], utt.frames)
+        assert loaded.word_spans[utt.utt_id] == utt.words
+    assert loaded.alignments == [u.alignment for u in corpus]
