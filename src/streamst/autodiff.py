@@ -11,7 +11,8 @@ the tape in reverse, calling rule(out.grad) for every output the loss
 reaches.  With no tape active an op costs its numpy forward, its rule
 closure and one attribute read, so inference pays nothing for recording.
 One op spans many steps: lstm runs a whole recurrence on plain arrays and
-records it as one node whose rule is backpropagation through time.
+records it as one node whose rule is backpropagation through time; each
+step runs in place in buffers allocated once per call, with one tanh.
 The conv2d forward adds its products into each output one at a time, in
 the order of a scalar loop, so its outputs are bit-identical to that loop's;
 the streaming equivalence checks rely on it.  numpy's reductions would sum
@@ -20,6 +21,7 @@ in another order, pairwise where the reduced axis is contiguous.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -188,8 +190,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))  # bounded by 1, no overflow on either branch
-    return np.where(x >= 0, 1, e) / (1 + e)
+    """tanh(x / 2) / 2 + 1 / 2: no overflow, and the form lstm's gates use."""
+    return np.tanh(x * 0.5) * 0.5 + 0.5
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -246,6 +248,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # recurrence
 
 
+@functools.cache
+def _gate_affine(n: int, dtype) -> tuple:
+    """Read-only (1, 4n) rows (half, shift) such that tanh(z * half) * half
+    + shift is _sigmoid(z) on the input, forget and output columns and
+    tanh(z) on the cell columns.  There half is 1 and shift is -0.0, the one
+    addend that leaves every value as it is."""
+    half, shift = np.full((1, 4 * n), 0.5, dtype=dtype), np.full((1, 4 * n), 0.5, dtype=dtype)
+    half[:, 2 * n:3 * n], shift[:, 2 * n:3 * n] = 1, -0.0
+    half.flags.writeable = shift.flags.writeable = False
+    return half, shift
+
+
 def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
          reverse: bool = False):
     """An LSTM over the (T, F) rows of x from the (1, H) state (h0, c0).
@@ -254,23 +268,38 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     the rows in order, or last to first when reverse, and each keeps only its
     h and c rows.  Returns the (T, H) hidden rows, row t from the step that
     read row t, and the final h and c; the final h shares its row's gradient.
+    A step is a fixed run of in-place numpy calls: one tanh activates the
+    whole gate row in its (1, 4H) buffer, and c and h go straight into their
+    rows.  Its bits equal those of a cell built from this module's ops.
     """
     n = wh.data.shape[0]
     if (x.data.ndim != 2 or len(x.data) < 1 or wx.shape != (x.data.shape[1], 4 * n)
             or wh.shape != (n, 4 * n) or b.shape != (4 * n,) or {h0.shape, c0.shape} != {(1, n)}):
         raise ShapeError("lstm cannot run x %r from state %r, %r with weights %r, %r, %r"
                          % (x.shape, h0.shape, c0.shape, wx.shape, wh.shape, b.shape))
-    xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
-    t_len = len(xd)
-    hs, cs = np.empty((t_len, n), dtype=xd.dtype), np.empty((t_len, n), dtype=xd.dtype)
+    # (1, 4H) operands: an in-place op on the gate row takes about half the
+    # time with a same-shape operand as with a broadcast 1-d one
+    xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data.reshape(1, 4 * n)
+    t_len, dt = len(xd), xd.dtype
+    half, shift = _gate_affine(n, dt)
+    hs, cs = np.empty((t_len, n), dtype=dt), np.empty((t_len, n), dtype=dt)
+    z, zh = np.empty((1, 4 * n), dtype=dt), np.empty((1, 4 * n), dtype=dt)
+    zi, zf, zg, zo = z.reshape(4, 1, n)  # views of the gate row's four slices
     steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
     h, c = h0.data, c0.data
     for t in steps:
-        gates = (xd[t:t + 1] @ wxd + h @ whd) + bd
-        sig = _sigmoid(gates)
-        c = np.add(sig[:, n:2 * n] * c, sig[:, :n] * np.tanh(gates[:, 2 * n:3 * n]),
-                   out=cs[t:t + 1])
-        h = np.multiply(sig[:, 3 * n:], np.tanh(c), out=hs[t:t + 1])
+        np.matmul(xd[t:t + 1], wxd, out=z)
+        z += np.matmul(h, whd, out=zh)
+        z += bd
+        z *= half  # one tanh: sigmoid on the i, f and o columns, tanh on the cell ones
+        np.tanh(z, out=z)
+        z *= half
+        z += shift
+        c = np.multiply(zf, c, out=cs[t:t + 1])
+        zg *= zi
+        c += zg
+        h = np.tanh(c, out=hs[t:t + 1])
+        h *= zo
 
     def rule(g):
         """Backpropagation through time: the gates are recomputed in one

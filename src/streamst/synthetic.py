@@ -196,7 +196,8 @@ def write_features(path, items: list) -> None:
 
 
 def read_features(path) -> list:
-    """Read (utt_id, frames) pairs back, in file order."""
+    """Read (utt_id, frames) pairs back, in file order.  A repeated id
+    raises ConfigError naming its entry."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != FEATURES_MAGIC:
@@ -205,12 +206,16 @@ def read_features(path) -> list:
         (count,) = struct.unpack_from("<I", blob, 4)
         off = 8
         items = []
-        for _ in range(count):
+        seen = set()
+        for entry in range(1, count + 1):
             (id_len,) = struct.unpack_from("<I", blob, off)
             off += 4
             utt_id = blob[off:off + id_len].decode("utf-8")
             if len(blob[off:off + id_len]) != id_len:
                 raise struct.error("short id")
+            if utt_id in seen:
+                raise ConfigError("%s entry %d repeats utterance %r" % (path, entry, utt_id))
+            seen.add(utt_id)
             off += id_len
             t_len, d = struct.unpack_from("<II", blob, off)
             off += 8
@@ -243,17 +248,6 @@ class LoadedCorpus:
     targets: dict        # utt_id -> text
     word_spans: dict     # utt_id -> list of WordSpan (no text)
     alignments: list = field(default_factory=list)
-
-
-def as_loaded(corpus: list) -> LoadedCorpus:
-    """View generated utterances through the on-disk corpus interface."""
-    return LoadedCorpus(
-        ids=[u.utt_id for u in corpus],
-        features={u.utt_id: u.frames for u in corpus},
-        sources={u.utt_id: u.source for u in corpus},
-        targets={u.utt_id: u.target for u in corpus},
-        word_spans={u.utt_id: u.words for u in corpus},
-        alignments=[u.alignment for u in corpus])
 
 
 def _checked(rows) -> list:

@@ -18,6 +18,7 @@ from streamst.encoding import EncoderStream
 from streamst.errors import ConfigError, InsufficientFramesError
 from streamst.model import (BOS_ID, EOS_ID, Vocab, decode_step, encode_utterance,
                             init_decoder_state)
+from streamst.synthetic import LoadedCorpus
 
 
 def _pad(x, k, padding):
@@ -155,23 +156,22 @@ def offline_translate_loop(frames, params, cfg, policy=None):
     return vocab.decode(out_ids)
 
 
-def _sigmoid_two_branch(v):
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1 / (1 + e), e / (1 + e)).astype(v.dtype)
+def _sigmoid_by_tanh(v):
+    return np.tanh(v / 2) / 2 + 0.5
 
 
 def lstm_step_loop(x, h_prev, c_prev, wx, wh, b):
     """LSTM cell oracle on plain arrays, one activation per gate slice.
 
     Loops over the input, forget, cell and output slices of the gate row and
-    applies each its own sigmoid or tanh, with the sigmoid written as two
-    branches selected after both are computed.  Returns (h, c).
+    applies each its own sigmoid or tanh, on a copy of the slice, with the
+    sigmoid written as tanh(v / 2) / 2 + 0.5 by division.  The cell slice
+    gets np.tanh alone, so a -0.0 there stays -0.0.  Returns (h, c).
     """
     n = wh.shape[0]
     gates = (x @ wx + h_prev @ wh) + b
     act = []
-    for k, fn in enumerate((_sigmoid_two_branch, _sigmoid_two_branch, np.tanh,
-                            _sigmoid_two_branch)):
+    for k, fn in enumerate((_sigmoid_by_tanh, _sigmoid_by_tanh, np.tanh, _sigmoid_by_tanh)):
         act.append(fn(gates[..., k * n:(k + 1) * n].copy()))
     i, f, g, o = act
     c = f * c_prev + i * g
@@ -286,3 +286,14 @@ def fd_gradcheck(build, arrays, h=1e-3, rtol=1e-3, atol=1e-5, analytic_floor=1e-
                 worst = ((ti, i), ana, num)
                 return worst
     return worst
+
+
+def as_loaded(corpus):
+    """View generated utterances through the on-disk corpus interface."""
+    return LoadedCorpus(
+        ids=[u.utt_id for u in corpus],
+        features={u.utt_id: u.frames for u in corpus},
+        sources={u.utt_id: u.source for u in corpus},
+        targets={u.utt_id: u.target for u in corpus},
+        word_spans={u.utt_id: u.words for u in corpus},
+        alignments=[u.alignment for u in corpus])

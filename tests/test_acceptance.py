@@ -26,7 +26,6 @@ from streamst.encoding import EncoderStream
 from streamst.metrics import (TRADEOFF_COLUMNS, AlignmentSet, average_lagging,
                               bleu, extract_subsets, lagging_difficulty)
 from streamst.segmentation import fixed_plan
-from streamst.synthetic import as_loaded
 
 SWEEP_KS = (8, 16, 32, 64, 128)
 RANDOM_BOUNDS = [(5, 10), (5, 20), (5, 50), (5, 100), (10, 50), (10, 100)]
@@ -243,7 +242,7 @@ class TestSegmentationHarness:
         one well-formed table row per configuration; the tightest random
         bounds produce degenerate chunks the engine must still survive."""
         cfg, params = trained[0], trained[1]
-        sub = as_loaded(monotone_corpus[:12])
+        sub = helpers.as_loaded(monotone_corpus[:12])
         jobs = [{"strategy": "ulstm-reencode", "segmentation": "fixed",
                  "k": 16, "s": 16, "N": 1}]
         jobs += [{"strategy": "ulstm-reencode", "segmentation": "words",

@@ -446,6 +446,54 @@ class TestFusedActivation:
             assert whole.tobytes() == part.tobytes()
 
 
+class TestSigmoid:
+    """The tanh-form sigmoid over every float, infinities included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+    def test_bounded_monotone_and_near_the_exp_form(self, dtype, data):
+        """In [0, 1], non-decreasing over sorted inputs, and within 2**-23 of
+        1 / (1 + exp(-x)) evaluated in float64."""
+        width = np.finfo(dtype).bits
+        values = data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+                      st.floats(allow_nan=False, width=width),
+                      st.floats(-40, 40, width=width)),
+            min_size=1, max_size=64))
+        x = np.sort(np.array(values, dtype=dtype))
+        y = ad.sigmoid(t(x, dtype=dtype)).data
+        assert y.dtype == dtype
+        assert np.all((y >= 0) & (y <= 1))
+        assert np.all(np.diff(y) >= 0)
+        with np.errstate(over="ignore"):
+            want = 1 / (1 + np.exp(-x.astype(np.float64)))
+        assert np.max(np.abs(y - want)) <= 2.0 ** -23
+
+    def test_half_at_zero_and_nan_at_nan(self):
+        for dtype in (np.float32, np.float64):
+            y = ad.sigmoid(t([0.0, -0.0, math.nan], dtype=dtype)).data
+            assert y[0] == y[1] == 0.5 and math.isnan(y[2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), hidden=st.integers(1, 16),
+           data=st.data())
+    def test_lstm_gate_affine_is_sigmoid_and_tanh(self, dtype, hidden, data):
+        """tanh(z * half) * half + shift, as lstm runs it on a gate row, is
+        the sigmoid on the input, forget and output columns and np.tanh on
+        the cell columns, bit for bit; -0.0 in a cell column stays -0.0."""
+        z = np.array([data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 30.0, -30.0, math.inf, math.nan]),
+                      st.floats(width=np.finfo(dtype).bits)),
+            min_size=4 * hidden, max_size=4 * hidden))], dtype=dtype)
+        half, shift = ad._gate_affine(hidden, np.dtype(dtype))
+        got = np.tanh(z * half) * half + shift
+        cell = slice(2 * hidden, 3 * hidden)
+        want = ad.sigmoid(t(z, dtype=dtype)).data
+        want[:, cell] = np.tanh(z[:, cell])
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
 # x (T=3, F=2), h0 and c0 (1, H=3), wx, wh, b
 LSTM_SHAPES = [(3, 2), (1, 3), (1, 3), (2, 12), (3, 12), (12,)]
 

@@ -138,7 +138,7 @@ class TestLstmStep:
 
 
 class TestFusedGates:
-    """The LSTM runs one sigmoid over the whole gate row; it must match the
+    """The LSTM runs one tanh over the whole gate row; it must match the
     cell that activates each gate slice on its own."""
 
     GATE_VALUES = st.one_of(st.sampled_from([0.0, 30.0, -30.0]), st.floats(-30, 30))
@@ -225,6 +225,57 @@ class TestLstmLayer:
         assert hs.data.tobytes() == want.tobytes()
         assert nh.data.tobytes() == h.tobytes()
         assert nc.data.tobytes() == c.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), t_len=st.integers(1, 12),
+           hidden=st.integers(1, 16), d=st.integers(1, 8), reverse=st.booleans(),
+           scale=st.sampled_from([0.0, 0.1, 1.0, 10.0]), seed=st.integers(0, 2 ** 16),
+           data=st.data())
+    def test_forward_matches_composed_cell(self, dtype, t_len, hidden, d, reverse, scale,
+                                           seed, data):
+        """Bit for bit against the cell of tape ops, whose sigmoid is
+        ad.sigmoid over the whole gate row and whose cell gate is ad.tanh."""
+        rng = np.random.default_rng(seed)
+        b = np.array(data.draw(st.lists(st.one_of(TestFusedGates.GATE_VALUES, st.just(-0.0)),
+                                        min_size=4 * hidden, max_size=4 * hidden)), dtype=dtype)
+        arrays = [scale * rng.standard_normal(s).astype(dtype)
+                  for s in ((t_len, d), (1, hidden), (1, hidden), (d, 4 * hidden),
+                            (hidden, 4 * hidden))] + [b]
+        ts = [ad.Tensor(a, dtype=dtype) for a in arrays]
+        hs, (h, c) = md.lstm_layer(ts[0], (ts[1], ts[2]), *ts[3:], reverse=reverse)
+        want_hs, (want_h, want_c) = helpers.lstm_layer_steps(ts[0], (ts[1], ts[2]), *ts[3:],
+                                                             reverse=reverse)
+        for got, want in ((hs, want_hs), (h, want_h), (c, want_c)):
+            assert got.data.dtype == want.data.dtype == dtype
+            assert got.data.tobytes() == want.data.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), t_len=st.integers(1, 64),
+           hidden=st.integers(1, 64), d=st.integers(1, 64), reverse=st.booleans(),
+           seed=st.integers(0, 2 ** 16), data=st.data())
+    def test_chunks_with_carried_state_equal_one_pass(self, dtype, t_len, hidden, d, reverse,
+                                                      seed, data):
+        """Rows split into chunks at arbitrary cuts, each chunk started from
+        the (h, c) the previous one returned, give one pass's rows and final
+        state bit for bit; a reverse pass runs its chunks last to first.
+        Each call must keep its rows apart from every other call's."""
+        rng = np.random.default_rng(seed)
+        cuts = sorted(data.draw(st.sets(st.integers(1, t_len - 1), max_size=t_len - 1))
+                      if t_len > 1 else ())
+        x, wx, wh, b = (ad.Tensor(rng.uniform(-1, 1, s), dtype=dtype)
+                        for s in ((t_len, d), (d, 4 * hidden), (hidden, 4 * hidden),
+                                  (4 * hidden,)))
+        state = tuple(ad.Tensor(rng.uniform(-1, 1, (1, hidden)), dtype=dtype) for _ in range(2))
+        hs, (h, c) = md.lstm_layer(x, state, wx, wh, b, reverse=reverse)
+        chunks = [ad.Tensor(part, dtype=dtype) for part in np.split(x.data, cuts)]
+        outs = []
+        for chunk in (chunks[::-1] if reverse else chunks):
+            part, state = md.lstm_layer(chunk, state, wx, wh, b, reverse=reverse)
+            outs.append(part.data)
+        joined = np.concatenate(outs[::-1] if reverse else outs)
+        assert joined.tobytes() == hs.data.tobytes()
+        assert state[0].data.tobytes() == h.data.tobytes()
+        assert state[1].data.tobytes() == c.data.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(t_len=st.integers(1, 8), hidden=st.integers(1, 12), d=st.integers(1, 5),

@@ -1,5 +1,7 @@
 """Synthetic task generator and corpus file round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -245,6 +247,26 @@ def test_feature_file_rejects_trailing_bytes(tmp_path):
     padded.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(ConfigError, match="trailing"):
         read_features(padded)
+
+
+def test_feature_file_rejects_a_repeated_id(tmp_path):
+    """A hand-written file listing u, v, u: the third entry names the repeat,
+    and loading the corpus around it fails the same way."""
+    def entry(utt_id, frames):
+        return (struct.pack("<I", len(utt_id)) + utt_id.encode() + struct.pack("<II", frames, 2)
+                + np.ones((frames, 2), dtype="<f4").tobytes())
+
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "features.simf").write_bytes(FEATURES_MAGIC + struct.pack("<I", 3)
+                                         + entry("u", 4) + entry("v", 4) + entry("u", 8))
+    for name in ("source.tsv", "target.tsv"):
+        (data / name).write_text("u\tab\nv\tab\n")
+    (data / "boundaries.tsv").write_text("u\t0:4\nv\t0:4\n")
+    with pytest.raises(ConfigError, match=r"features\.simf entry 3 repeats utterance 'u'"):
+        read_features(data / "features.simf")
+    with pytest.raises(ConfigError, match="entry 3 repeats utterance 'u'"):
+        load_corpus(data)
 
 
 # ---------------------------------------------------------------------------
