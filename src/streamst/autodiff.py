@@ -11,8 +11,11 @@ the tape in reverse, calling rule(out.grad) for every output the loss
 reaches.  With no tape active an op costs its numpy forward, its rule
 closure and one attribute read, so inference pays nothing for recording.
 One op spans many steps: lstm runs a whole recurrence on plain arrays and
-records it as one node whose rule is backpropagation through time; each
-step runs in place in buffers allocated once per call, with one tanh.
+records it as one node whose rule is backpropagation through time.  One
+stacked matmul forms every row's input product, bit for bit as a row at a
+time would; each step runs in place in buffers allocated once per call,
+with one tanh, and the rule reuses the forward's row products.  maxpool2d's
+forward is a chain of np.maximum; only its rule pays for the argmax.
 The conv2d forward adds its products into each output one at a time, in
 the order of a scalar loop, so its outputs are bit-identical to that loop's;
 the streaming equivalence checks rely on it.  numpy's reductions would sum
@@ -268,47 +271,61 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     the rows in order, or last to first when reverse, and each keeps only its
     h and c rows.  Returns the (T, H) hidden rows, row t from the step that
     read row t, and the final h and c; the final h shares its row's gradient.
-    A step is a fixed run of in-place numpy calls: one tanh activates the
-    whole gate row in its (1, 4H) buffer, and c and h go straight into their
-    rows.  Its bits equal those of a cell built from this module's ops.
+    Every operand must have x's dtype; nothing is cast.  One stacked call
+    forms every row's input product, row by row as a (1, F) product would,
+    and each step adds its h product to its row: a fixed run of in-place
+    numpy calls in which one tanh activates the whole (1, 4H) gate row and c
+    and h go straight into their rows.  Its bits equal those of a cell built
+    from this module's ops.
     """
-    n = wh.data.shape[0]
-    if (x.data.ndim != 2 or len(x.data) < 1 or wx.shape != (x.data.shape[1], 4 * n)
-            or wh.shape != (n, 4 * n) or b.shape != (4 * n,) or {h0.shape, c0.shape} != {(1, n)}):
+    xd, h, c, wxd, whd, bd = x.data, h0.data, c0.data, wx.data, wh.data, b.data
+    n = whd.shape[0]
+    if (xd.ndim != 2 or len(xd) < 1 or wxd.shape != (xd.shape[1], 4 * n) or whd.shape != (n, 4 * n)
+            or bd.shape != (4 * n,) or h.shape != (1, n) or c.shape != (1, n)):
         raise ShapeError("lstm cannot run x %r from state %r, %r with weights %r, %r, %r"
                          % (x.shape, h0.shape, c0.shape, wx.shape, wh.shape, b.shape))
+    t_len, dt = len(xd), xd.dtype
+    if not h.dtype == c.dtype == wxd.dtype == whd.dtype == bd.dtype == dt:
+        raise ContractError("lstm needs one dtype, got x %s, h0 %s, c0 %s, wx %s, wh %s, b %s"
+                            % (dt, h.dtype, c.dtype, wxd.dtype, whd.dtype, bd.dtype))
     # (1, 4H) operands: an in-place op on the gate row takes about half the
     # time with a same-shape operand as with a broadcast 1-d one
-    xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data.reshape(1, 4 * n)
-    t_len, dt = len(xd), xd.dtype
+    bd = bd.reshape(1, 4 * n)
     half, shift = _gate_affine(n, dt)
+    # (T, 1, 4H): matmul runs the (1, F) product once per row, so each row has
+    # the bits of xd[t:t + 1] @ wxd; a (T, F) sgemm would not, for F >= 56
+    xw = np.matmul(xd[:, None, :], wxd)
     hs, cs = np.empty((t_len, n), dtype=dt), np.empty((t_len, n), dtype=dt)
-    z, zh = np.empty((1, 4 * n), dtype=dt), np.empty((1, 4 * n), dtype=dt)
-    zi, zf, zg, zo = z.reshape(4, 1, n)  # views of the gate row's four slices
-    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    h, c = h0.data, c0.data
-    for t in steps:
-        np.matmul(xd[t:t + 1], wxd, out=z)
-        z += np.matmul(h, whd, out=zh)
-        z += bd
-        z *= half  # one tanh: sigmoid on the i, f and o columns, tanh on the cell ones
-        np.tanh(z, out=z)
-        z *= half
-        z += shift
-        c = np.multiply(zf, c, out=cs[t:t + 1])
-        zg *= zi
-        c += zg
-        h = np.tanh(c, out=hs[t:t + 1])
-        h *= zo
+    slices, zh = np.empty((4, 1, n), dtype=dt), np.empty((1, 4 * n), dtype=dt)
+    zi, zf, zg, zo = slices  # the gate row's input, forget, cell and output slices
+    z = slices.reshape(1, 4 * n)
+    order = slice(None, None, -1) if reverse else slice(None)
+    # The step walks (1, ...) row views in step order, calls numpy through
+    # local names and passes out positionally: about a tenth of a step less
+    # than indexing rows and in-place operators.
+    add, mul, dot, tanh_ = np.add, np.multiply, np.dot, np.tanh
+    for xw_t, c_t, h_t in zip(xw[order], cs[order, None], hs[order, None]):
+        add(xw_t, dot(h, whd, zh), z)  # np.dot: matmul's bits on a row
+        add(z, bd, z)
+        mul(z, half, z)  # one tanh: sigmoid on the i, f and o columns, tanh on the cell ones
+        tanh_(z, z)
+        mul(z, half, z)
+        add(z, shift, z)
+        c = mul(zf, c, c_t)
+        mul(zg, zi, zg)
+        add(c, zg, c)
+        h = tanh_(c, h_t)
+        mul(h, zo, h)
 
     def rule(g):
-        """Backpropagation through time: the gates are recomputed in one
-        product, and only the dh and dc recurrence runs step by step."""
+        """Backpropagation through time: the gates are recomputed from the
+        forward's own row products, and only the dh and dc recurrence runs
+        step by step."""
         if reverse:  # each step's starting state, on the row it read
             hp, cp = np.concatenate([hs[1:], h0.data]), np.concatenate([cs[1:], c0.data])
         else:
             hp, cp = np.concatenate([h0.data, hs[:-1]]), np.concatenate([c0.data, cs[:-1]])
-        gates = (xd @ wxd + hp @ whd) + bd
+        gates = (xw + np.matmul(hp[:, None, :], whd))[:, 0] + bd
         sig = _sigmoid(gates)
         i, f, o = sig[:, :n], sig[:, n:2 * n], sig[:, 3 * n:]
         cell, tc = np.tanh(gates[:, 2 * n:3 * n]), np.tanh(cs)
@@ -319,7 +336,7 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
         dgates = np.empty_like(gates)
         dh_next = np.zeros_like(h0.data)
         dc_next = c_last.grad if c_last.grad is not None else np.zeros_like(c0.data)
-        for t in reversed(steps):
+        for t in (range(t_len) if reverse else range(t_len - 1, -1, -1)):  # last step first
             dh = g[t:t + 1] + dh_next
             dc = dc_next + dh * dc_dh[t]
             dgates[t, :3 * n] = (dc * by_dc[t]).reshape(-1)
@@ -334,11 +351,11 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
         _accum(b, dgates.sum(axis=0))
 
     out = _op(hs, (x, h0, c0, wx, wh, b), rule)
-    last = slice(0, 1) if reverse else slice(t_len - 1, t_len)
-    h_last, c_last = (Tensor(r[last], out.requires_grad, r.dtype) for r in (hs, cs))
+    # h and c are the last step's rows of hs and cs
+    h_last, c_last = Tensor(h, out.requires_grad, dt), Tensor(c, out.requires_grad, dt)
     if out.requires_grad:  # allocated now, so the rule runs even if only the final c is reached
         out.grad = np.zeros_like(hs)
-        h_last.grad = out.grad[last]
+        h_last.grad = out.grad[0:1] if reverse else out.grad[t_len - 1:]
     return out, h_last, c_last
 
 
@@ -453,8 +470,14 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
 
 def maxpool2d(x: Tensor, pool: int = 2, stride: int = 2) -> Tensor:
     """Non-overlapping max pooling over (C, H, W); ties go to the first
-    element in row-major window order.  Trailing rows and columns that do not
-    fill a window are dropped."""
+    element in row-major window order, and a window holding a NaN gives NaN.
+    Trailing rows and columns that do not fill a window are dropped.
+
+    The forward is a chain of np.maximum over the window's pool * pool
+    strided views, from the last element back to the first: np.maximum
+    returns its second operand on a tie, so of -0.0 and 0.0 the earlier one
+    is kept.  Only the rule finds each window's argmax, to route gradients.
+    """
     if x.data.ndim != 3:
         raise ShapeError("maxpool2d input must be (C, H, W), got %r" % (x.shape,))
     if pool != stride:
@@ -464,15 +487,18 @@ def maxpool2d(x: Tensor, pool: int = 2, stride: int = 2) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError("maxpool2d input %r smaller than window %d" % (x.shape, pool))
     xc = x.data[:, :ho * pool, :wo * pool]
-    win = (xc.reshape(c, ho, pool, wo, pool)
-             .transpose(0, 1, 3, 2, 4)
-             .reshape(c, ho, wo, pool * pool))
-    idx = win.argmax(axis=-1)  # argmax returns the first maximum
-    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    views = [xc[:, i::pool, j::pool] for i in range(pool) for j in range(pool)]
+    y = views[-1].copy()
+    for v in reversed(views[:-1]):
+        np.maximum(y, v, out=y)
 
     def rule(g):
         if not x.requires_grad:
             return
+        win = (xc.reshape(c, ho, pool, wo, pool)
+                 .transpose(0, 1, 3, 2, 4)
+                 .reshape(c, ho, wo, pool * pool))
+        idx = win.argmax(axis=-1)  # argmax returns the first maximum
         dwin = np.zeros((c, ho, wo, pool * pool), dtype=g.dtype)
         np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
         dxc = (dwin.reshape(c, ho, wo, pool, pool)

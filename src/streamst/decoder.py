@@ -175,9 +175,20 @@ def write_traces(path, traces: list) -> None:
                                          "wall_ns": tr.cost.wall_ns}}) + "\n")
 
 
+def _field(obj, key: str, kinds: tuple, path, lineno: int):
+    """obj[key], where obj must be a dict and the value one of kinds; a
+    bool does not count as a number."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ConfigError("%s line %d: %s must be %s, got %r"
+                          % (path, lineno, key, " or ".join(k.__name__ for k in kinds), value))
+    return value
+
+
 def read_traces(path) -> list:
     """Parse a trace file back into per-utterance records.  Every line must
-    name the open utterance, and the file must not end inside one."""
+    name the open utterance, the file must not end inside one, and every
+    field read must be present with its type."""
     out = []
     current, delays, duration = None, [], 0.0  # the open utterance and its events
     with open(path, "r", encoding="utf-8") as f:
@@ -197,18 +208,24 @@ def read_traces(path) -> list:
                                   % (path, lineno, utt, current))
             if "event" in obj:
                 current = utt
-                if obj["event"] == "R":
-                    duration = obj["ms"]
-                elif obj["event"] == "W":
-                    delays.append(obj["ms"])
-                else:
+                if obj["event"] not in ("R", "W"):
                     raise ConfigError("%s line %d has unknown event %r"
                                       % (path, lineno, obj["event"]))
+                ms = _field(obj, "ms", (int, float), path, lineno)
+                if obj["event"] == "R":
+                    duration = ms
+                else:
+                    delays.append(ms)
             elif "hyp" in obj:
-                out.append(TraceRecord(utt_id=utt, hypothesis=obj["hyp"],
-                                       delays_ms=delays, duration_ms=duration,
-                                       frames_processed=obj["cost"]["frames_processed"],
-                                       wall_ns=obj["cost"]["wall_ns"]))
+                cost = obj.get("cost")
+                if not isinstance(cost, dict):
+                    raise ConfigError("%s line %d: cost must be an object, got %r"
+                                      % (path, lineno, cost))
+                out.append(TraceRecord(
+                    utt_id=utt, hypothesis=_field(obj, "hyp", (str,), path, lineno),
+                    delays_ms=delays, duration_ms=duration,
+                    frames_processed=_field(cost, "frames_processed", (int,), path, lineno),
+                    wall_ns=_field(cost, "wall_ns", (int,), path, lineno)))
                 current, delays, duration = None, [], 0.0
             else:
                 raise ConfigError("%s line %d is neither an event nor a summary"

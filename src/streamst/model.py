@@ -5,11 +5,13 @@ The front end applies two convolution blocks, each halving the time and
 feature axes, so T input frames become floor(floor(T/2)/2) encoder positions.
 Every LSTM layer, in the encoder and in the decoder, is one autodiff.lstm
 call: its time loop runs on plain arrays inside one tape node, and its
-backward is backpropagation through time.  The loop multiplies one input row
-by wx per step, so encoding a sequence in chunks with carried state is
-bit-identical to encoding it in one pass.  Batching x @ wx across time would
-break that: with OpenBLAS 0.3.31, rows of a (64, 64) by (64, 256) sgemm
-differ from the row-by-row products.
+backward is backpropagation through time.  Each input row's product with wx
+is the (1, F) row product, whatever the chunk around it, so encoding a
+sequence in chunks with carried state is bit-identical to encoding it in one
+pass.  lstm forms them in one stacked (T, 1, F) by (F, 4H) matmul, which runs
+that row product once per row.  A 2-d (T, F) by (F, 4H) sgemm would break
+it: with OpenBLAS 0.3.31, rows of a (64, 64) by (64, 256) sgemm differ from
+the row-by-row products.
 """
 
 from __future__ import annotations
@@ -204,9 +206,9 @@ def vgg_forward(frames, params: Parameters, cfg: ModelConfig) -> ad.Tensor:
     return ad.channels_to_features(h)
 
 
-def zero_state(hidden: int):
-    """A fresh (h, c) pair of (1, hidden) zero tensors."""
-    return tuple(ad.Tensor(np.zeros((1, hidden), dtype=np.float32)) for _ in range(2))
+def zero_state(hidden: int, dtype=np.float32):
+    """A fresh (h, c) pair of (1, hidden) zero tensors of the given dtype."""
+    return tuple(ad.Tensor(np.zeros((1, hidden), dtype), dtype=dtype) for _ in range(2))
 
 
 def _weights(params: Parameters, prefix: str):
@@ -238,11 +240,11 @@ def encoder_forward(feats: ad.Tensor, params: Parameters, cfg: ModelConfig,
         raise ContractError("encoder needs at least one position")
     out, final = feats, []
     for layer in range(cfg.enc_layers):
-        state = init[layer] if init is not None else zero_state(cfg.hidden)
+        state = init[layer] if init is not None else zero_state(cfg.hidden, feats.dtype)
         fwd, state = lstm_layer(out, state, *_weights(params, "enc%d_fwd" % layer))
         final.append(state)
         if cfg.bidirectional:
-            bwd, _ = lstm_layer(out, zero_state(cfg.hidden),
+            bwd, _ = lstm_layer(out, zero_state(cfg.hidden, feats.dtype),
                                 *_weights(params, "enc%d_bwd" % layer), reverse=True)
             fwd = ad.concat_last(fwd, bwd)
         out = fwd

@@ -258,6 +258,41 @@ class TestMaxpool2d:
         with pytest.raises(ShapeError):
             ad.maxpool2d(t(np.zeros((1, 1, 4))))
 
+    @settings(max_examples=200, deadline=None)
+    @given(pool=st.sampled_from([2, 3]), c=st.integers(1, 3), data=st.data())
+    def test_ties_and_nans_over_arbitrary_inputs(self, pool, c, data):
+        """Values come from a small pool holding both zeros and both
+        infinities, so most windows tie.  The forward equals the scalar loop
+        byte for byte, which keeps the sign of the first of tied zeros; each
+        output's gradient lands on the first maximum of its window in
+        row-major order; and a NaN anywhere in a window makes it NaN."""
+        h, w = data.draw(st.integers(pool, 9)), data.draw(st.integers(pool, 9))
+        values = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 0.5])
+        x = np.array(data.draw(st.lists(values, min_size=c * h * w, max_size=c * h * w)),
+                     dtype=np.float32).reshape(c, h, w)
+        ho, wo = h // pool, w // pool
+        weights = np.arange(1, c * ho * wo + 1, dtype=np.float32).reshape(c, ho, wo)
+        xt = t(x, grad=True)
+        with ad.Tape() as tape:
+            y = ad.maxpool2d(xt, pool, pool)
+            loss = ad.sum_all(ad.mul(y, t(weights)))
+        ad.backward(tape, loss)
+        assert y.data.tobytes() == helpers.maxpool2d_loop(x, pool).tobytes()
+        want = np.zeros_like(x)
+        for ci, oi, oj in np.ndindex(c, ho, wo):
+            window = x[ci, oi * pool:(oi + 1) * pool, oj * pool:(oj + 1) * pool].reshape(-1)
+            k = next(k for k, v in enumerate(window) if v == window.max())
+            want[ci, oi * pool + k // pool, oj * pool + k % pool] = weights[ci, oi, oj]
+        assert xt.grad.tobytes() == want.tobytes()
+
+        ci, i, j = (data.draw(st.integers(0, n - 1)) for n in (c, h, w))
+        x[ci, i, j] = np.nan
+        got, want = ad.maxpool2d(t(x), pool, pool).data, y.data.copy()
+        if i < ho * pool and j < wo * pool:
+            assert np.isnan(got[ci, i // pool, j // pool])
+            want[ci, i // pool, j // pool] = got[ci, i // pool, j // pool]
+        assert got.tobytes() == want.tobytes()
+
 
 class TestStructuralOps:
     def test_slice_concat_roundtrip(self):

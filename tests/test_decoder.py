@@ -315,3 +315,23 @@ class TestTraceFiles:
         path.write_text("not json\n")
         with pytest.raises(ConfigError):
             dec.read_traces(path)
+
+    R_EVENT = '{"utt": "a", "event": "R", "frames": 16, "g": 16, "ms": 160.0}'
+    SUMMARY = '{"utt": "a", "hyp": "x", "cost": {"frames_processed": 16, "wall_ns": 5}}'
+
+    @pytest.mark.parametrize("lines,message", [
+        ([R_EVENT, '{"utt": "a", "hyp": "x"}'], "line 2: cost must be an object, got None"),
+        ([R_EVENT, '{"utt": "a", "hyp": "x", "cost": 3}'], "line 2: cost must be an object, got 3"),
+        (['{"utt": "a", "event": "R", "frames": 16, "g": 16}', SUMMARY],
+         "line 1: ms must be int or float, got None"),
+        ([R_EVENT, '{"utt": "a", "event": "W", "token": "x", "g": 16, "ms": "40"}', SUMMARY],
+         "line 2: ms must be int or float, got '40'"),
+    ], ids=["summary-without-cost", "cost-not-an-object", "event-without-ms", "ms-a-string"])
+    def test_malformed_record_rejected(self, tmp_path, lines, message):
+        """A record missing a field, or holding one of the wrong type, is a
+        ConfigError naming the file and line, not a KeyError or TypeError
+        and not a duration of '40'."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="bad.jsonl %s" % message):
+            dec.read_traces(path)

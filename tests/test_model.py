@@ -327,6 +327,20 @@ class TestLstmLayer:
         with pytest.raises(ShapeError):
             md.lstm_layer(ad.Tensor(np.zeros((0, 2), np.float32)), (h, h), wx, wh, b)
 
+    @pytest.mark.parametrize("x_dtype,w_dtype", [(np.float64, np.float32),
+                                                 (np.float32, np.float64)])
+    def test_rejects_operands_of_another_dtype(self, x_dtype, w_dtype):
+        """Nothing is cast: weights of one float width with an x and state
+        of the other are refused, and the message names all six dtypes."""
+        x, h, c = (ad.Tensor(np.zeros(s), dtype=x_dtype) for s in ((3, 2), (1, 4), (1, 4)))
+        wx, wh, b = (ad.Tensor(np.zeros(s), dtype=w_dtype) for s in ((2, 16), (4, 16), (16,)))
+        names = (np.dtype(x_dtype).name,) * 3 + (np.dtype(w_dtype).name,) * 3
+        with pytest.raises(ContractError, match="x %s, h0 %s, c0 %s, wx %s, wh %s, b %s" % names):
+            ad.lstm(x, h, c, wx, wh, b)
+        lone = ad.Tensor(c.data, dtype=w_dtype)  # a single operand of the other width
+        with pytest.raises(ContractError):
+            ad.lstm(x, h, lone, *(ad.Tensor(t.data, dtype=x_dtype) for t in (wx, wh, b)))
+
 
 class TestEncoder:
     def test_streaming_identity_bit_exact(self, small_cfg, small_params):
@@ -473,7 +487,7 @@ class TestWholeModelGradients:
             params = md.Parameters(list(zip(names, tensors)))
             feats = md.vgg_forward(md.ad.Tensor(frames, dtype=tensors[0].dtype), params, cfg)
             enc, _ = md.encoder_forward(feats, params, cfg)
-            state = md.init_decoder_state(cfg)
+            state = [md.zero_state(cfg.hidden, tensors[0].dtype) for _ in range(2)]
             prev = md.BOS_ID
             picked = []
             for tok in targets:
