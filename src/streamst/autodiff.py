@@ -2,9 +2,11 @@
 
 Tensors carry float32 data by default.  Every op computes its forward on
 the inputs' numpy data and hands the result to _op(y, inputs, rule), which
-wraps it as a Tensor with the dtype of inputs[0].  When a Tape is active and
-some input requires grad, _op marks the output as requiring grad and appends
-(output, rule) to the innermost tape, so the tape is in execution order.
+wraps it as a Tensor with the dtype of inputs[0].  An op of two or more
+tensors raises ContractError on mixed dtypes rather than cast.  When a Tape
+is active and some input requires grad, _op marks the output as requiring
+grad and appends (output, rule) to the innermost tape, so the tape is in
+execution order.
 rule(g) closes over the op's inputs and forward intermediates and adds the
 output's gradient g into each input that requires grad.  backward() replays
 the tape in reverse, calling rule(out.grad) for every output the loss
@@ -159,10 +161,18 @@ def _accum_at(t: Tensor, index, g: np.ndarray) -> None:
 # binary elementwise ops
 
 
+def _mixed(name: str, *tensors) -> ContractError:
+    """The error for an op handed operands of more than one dtype."""
+    return ContractError("%s needs one dtype, got %s"
+                         % (name, ", ".join(str(t.data.dtype) for t in tensors)))
+
+
 def _binary(a, b, fwd, grads):
     """fwd(x, y) on the data; grads(g, a, b) gives the operands' gradients."""
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
         raise TypeError("operands must be Tensors")
+    if a.data.dtype != b.data.dtype:
+        raise _mixed(fwd.__name__, a, b)
     try:
         y = fwd(a.data, b.data)
     except ValueError:  # numpy's own broadcast check
@@ -239,6 +249,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul needs 2-d operands, got %r and %r" % (a.shape, b.shape))
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError("matmul mismatch: %r by %r" % (a.shape, b.shape))
+    if a.data.dtype != b.data.dtype:
+        raise _mixed("matmul", a, b)
 
     def rule(g):
         _accum(a, g @ b.data.T)
@@ -428,6 +440,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
                          % (x.shape, kh, kw, padding))
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError("bias must have shape (%d,), got %r" % (c_out, bias.shape))
+    operands = (x, kernels) if bias is None else (x, kernels, bias)
+    if any(t.data.dtype != x.data.dtype for t in operands):
+        raise _mixed("conv2d", *operands)
 
     dt, s = x.data.dtype, x.data.itemsize
     # Time-contiguous layout: xp[ci, col, t] is the padded input, and output
@@ -465,7 +480,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(1, 2)))
 
-    return _op(y, (x, kernels) if bias is None else (x, kernels, bias), rule)
+    return _op(y, operands, rule)
 
 
 def maxpool2d(x: Tensor, pool: int = 2, stride: int = 2) -> Tensor:
@@ -538,6 +553,8 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the last axis."""
     if a.data.shape[:-1] != b.data.shape[:-1]:
         raise ShapeError("cannot concatenate %r with %r" % (a.shape, b.shape))
+    if a.data.dtype != b.data.dtype:
+        raise _mixed("concat_last", a, b)
     na = a.data.shape[-1]
 
     def rule(g):
@@ -554,6 +571,8 @@ def stack_rows(rows: list) -> Tensor:
     for r in rows:
         if r.data.ndim != 2 or r.data.shape[0] != 1:
             raise ShapeError("stack_rows expects (1, W) rows, got %r" % (r.shape,))
+        if r.data.dtype != rows[0].data.dtype:
+            raise _mixed("stack_rows", *rows)
     rows = tuple(rows)
 
     def rule(g):

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import statistics
 import sys
 import time
@@ -24,7 +25,7 @@ import numpy as np
 from .decoder import (FRAME_MS, DecodePolicy, offline_translate, read_traces,
                       simulate, write_traces)
 from .encoding import STRATEGIES
-from .errors import ConfigError
+from .errors import ConfigError, typed_field
 from .metrics import (TRADEOFF_COLUMNS, bleu, extract_subsets, lagging_difficulty,
                       tradeoff_table, utterance_lagging)
 from .model import ModelConfig, create_parameters, load_checkpoint, save_checkpoint
@@ -202,12 +203,15 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
               workers: int = 1) -> list:
     """Simulate every job over the corpus; write traces, index, and table.
 
-    Returns the aggregated trade-off rows, computed from the trace files
-    through the reader `report` uses, so a report rebuilds them.  Utterances
-    parallelize across processes when workers > 1; results keep corpus
-    order either way.  A configuration listed twice is rejected, since both
-    would write the same trace file.
+    Returns the aggregated trade-off rows, computed from the traces in
+    memory; read_traces gives back exactly these records, so a report
+    rebuilds the rows from the files.  Utterances parallelize across
+    processes when workers > 1; results keep corpus order either way.  A
+    configuration listed twice is rejected, since both would write the same
+    trace file, and so is a frame_ms that is not positive and finite.
     """
+    if not 0 < frame_ms < math.inf:
+        raise ConfigError("frame_ms must be positive and finite, got %r" % (frame_ms,))
     names = [_trace_name(job) for job in jobs]
     for j, job in enumerate(jobs):
         if names[j] in names[:j]:
@@ -242,7 +246,7 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
              "jobs": index}
     (out / "sweep.json").write_text(json.dumps(sweep, indent=2, sort_keys=True) + "\n",
                                     encoding="utf-8")
-    rows = tradeoff_table(_read_sweep(out)[1], corpus.targets, tokenize=tokenize)
+    rows = tradeoff_table(results, corpus.targets, tokenize=tokenize)
     write_tradeoff_csv(out / "tradeoff.csv", rows)
     return rows
 
@@ -357,21 +361,30 @@ def _cmd_bench(args) -> int:
 
 
 def _read_sweep(sweep_dir):
-    """The sweep index and (config, trace records) per job; a trace file
-    holding another number of utterances than the index records is
-    rejected."""
+    """The sweep index and (config, trace records) per job.  A malformed
+    entry, a trace that is not a file name inside the sweep directory, and
+    a trace file holding another number of utterances than the index
+    records are rejected."""
     root = Path(sweep_dir)
     path = root / "sweep.json"
     if not path.exists():
         raise ConfigError("no sweep index at %s" % path)
     sweep = json.loads(path.read_text(encoding="utf-8"))
+    jobs = sweep.get("jobs") if isinstance(sweep, dict) else None
+    if not isinstance(jobs, list):
+        raise ConfigError("%s holds no jobs list" % path)
     results = []
-    for entry in sweep["jobs"]:
-        config = {key: entry[key] for key in ("strategy", "k", "s", "N",
-                                              "segmentation")}
-        trace = root / entry["trace"]
+    for i, entry in enumerate(jobs):
+        where = "%s jobs[%d]" % (path, i)
+        config = {key: typed_field(entry, key, kinds, where) for key, kinds in (
+            ("strategy", (str,)), ("k", (int,)), ("s", (int,)), ("N", (int,)),
+            ("segmentation", (str,)))}
+        name = typed_field(entry, "trace", (str,), where)
+        if name in ("", "..") or Path(name).name != name:
+            raise ConfigError("%s: trace %r is not a file name in %s" % (where, name, root))
+        trace = root / name
         records = read_traces(trace)
-        if len(records) != entry["utterances"]:
+        if len(records) != typed_field(entry, "utterances", (int,), where):
             raise ConfigError("%s holds %d utterances, sweep.json records %d"
                               % (trace, len(records), entry["utterances"]))
         results.append((config, records))
@@ -401,8 +414,10 @@ def _cmd_report(args) -> int:
                 lag = None if ref is None else utterance_lagging(tr, ref, tokenize)
                 f.write(json.dumps({"config": config, "utt": tr.utt_id,
                                     "hyp": tr.hypothesis, "al_ms": lag,
-                                    "frames_processed": tr.frames_processed,
-                                    "wall_ns": tr.wall_ns}) + "\n")
+                                    "frames_processed": tr.cost.frames_processed,
+                                    "wall_ns": tr.cost.wall_ns, "chunks": tr.cost.chunks,
+                                    "truncated": tr.truncated,
+                                    "suppressed_eos": tr.suppressed_eos}) + "\n")
 
     written = [str(out / "curves.csv"), str(out / "per_utterance.jsonl")]
     if corpus.alignments:

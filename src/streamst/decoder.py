@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import EncodeCost, EncoderStream
-from .errors import ConfigError, InsufficientFramesError
+from .errors import ConfigError, ContractError, InsufficientFramesError, typed_field
 from .model import (BOS_ID, EOS_ID, NUM_SPECIALS, ModelConfig, Parameters, Vocab,
                     decode_step, init_decoder_state)
 from .segmentation import SegmentationPlan
@@ -42,26 +42,26 @@ class DecodePolicy:
         return int(self.max_target_factor * positions) + self.max_target_slack
 
 
-@dataclass
+@dataclass(slots=True)
 class DecodeTrace:
-    """Everything observable about one simulated utterance."""
+    """Everything observable about one simulated utterance, as simulate
+    returns it and as read_traces reads it back."""
 
     utt_id: str
-    events: list          # R/W dicts in emission order
     hypothesis: str
-    cost: EncodeCost
+    reads: tuple          # the plan's boundaries: frames read so far after each read
+    tokens: list          # text of each written token, specials included
+    delays_ms: list       # when each token was written, from utterance start
     frame_ms: float
-    total_frames: int
+    cost: EncodeCost
     truncated: bool = False
     suppressed_eos: int = 0
 
-    @property
-    def write_delays_ms(self) -> list:
-        return [e["ms"] for e in self.events if e["event"] == "W"]
+    write_delays_ms = property(lambda self: self.delays_ms)  # the name perfbench/tracing.py reads
 
     @property
     def duration_ms(self) -> float:
-        return self.total_frames * self.frame_ms
+        return self.reads[-1] * self.frame_ms
 
 
 def _token_text(vocab: Vocab, token: int) -> str:
@@ -90,7 +90,8 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
     state = init_decoder_state(cfg)
     prev = BOS_ID
     out_ids: list = []
-    events: list = []
+    tokens: list = []
+    delays: list = []
     suppressed = 0
     truncated = False
     consumed = 0
@@ -98,9 +99,8 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
     for idx, bound in enumerate(plan.boundaries):
         is_last = idx == n_bounds - 1
         stream.feed(frames[consumed:bound], is_last=is_last)
-        events.append({"utt": plan.utt_id, "event": "R", "frames": bound - consumed,
-                       "g": bound, "ms": bound * frame_ms})
         consumed = bound
+        ms = bound * frame_ms
         enc = stream.outputs
         if enc is None:
             if is_last:
@@ -126,13 +126,10 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
             state = new_state
             prev = token
             out_ids.append(token)
-            events.append({"utt": plan.utt_id, "event": "W",
-                           "token": _token_text(vocab, token),
-                           "g": bound, "ms": bound * frame_ms})
-    return DecodeTrace(utt_id=plan.utt_id, events=events,
-                       hypothesis=vocab.decode(out_ids), cost=stream.cost(),
-                       frame_ms=frame_ms, total_frames=plan.total_frames,
-                       truncated=truncated, suppressed_eos=suppressed)
+            tokens.append(_token_text(vocab, token))
+            delays.append(ms)
+    return DecodeTrace(plan.utt_id, vocab.decode(out_ids), tuple(plan.boundaries), tokens,
+                       delays, frame_ms, stream.cost(), truncated, suppressed)
 
 
 def offline_translate(frames: np.ndarray, params: Parameters, cfg: ModelConfig,
@@ -153,44 +150,45 @@ def offline_translate(frames: np.ndarray, params: Parameters, cfg: ModelConfig,
 # trace files: json lines, R/W events then one closing record per utterance
 
 
-@dataclass
-class TraceRecord:
-    """A trace as read back from disk; enough for every metric."""
-
-    utt_id: str
-    hypothesis: str
-    delays_ms: list
-    duration_ms: float
-    frames_processed: int
-    wall_ns: int
+def _trace_lines(tr: DecodeTrace):
+    """The json lines of one trace, and the only code that knows their
+    layout: each read, then the writes whose delay is that read's time,
+    then a summary.  A write that follows no read is a ContractError."""
+    utt, n, placed, prev = tr.utt_id, min(len(tr.tokens), len(tr.delays_ms)), 0, 0
+    for g in tr.reads:
+        ms = g * tr.frame_ms
+        yield json.dumps({"utt": utt, "event": "R", "frames": g - prev, "g": g, "ms": ms})
+        prev = g
+        while placed < n and tr.delays_ms[placed] == ms:
+            yield json.dumps({"utt": utt, "event": "W", "token": tr.tokens[placed],
+                              "g": g, "ms": ms})
+            placed += 1
+    if not placed == len(tr.tokens) == len(tr.delays_ms):
+        raise ContractError("trace %r places %d of its %d tokens and %d delays after a read"
+                            % (utt, placed, len(tr.tokens), len(tr.delays_ms)))
+    cost = tr.cost
+    yield json.dumps({"utt": utt, "hyp": tr.hypothesis, "frame_ms": tr.frame_ms,
+                      "truncated": tr.truncated, "suppressed_eos": tr.suppressed_eos,
+                      "cost": {"frames_processed": cost.frames_processed,
+                               "chunks": cost.chunks, "wall_ns": cost.wall_ns}})
 
 
 def write_traces(path, traces: list) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for tr in traces:
-            for event in tr.events:
-                f.write(json.dumps(event) + "\n")
-            f.write(json.dumps({"utt": tr.utt_id, "hyp": tr.hypothesis,
-                                "cost": {"frames_processed": tr.cost.frames_processed,
-                                         "wall_ns": tr.cost.wall_ns}}) + "\n")
-
-
-def _field(obj, key: str, kinds: tuple, path, lineno: int):
-    """obj[key], where obj must be a dict and the value one of kinds; a
-    bool does not count as a number."""
-    value = obj.get(key) if isinstance(obj, dict) else None
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ConfigError("%s line %d: %s must be %s, got %r"
-                          % (path, lineno, key, " or ".join(k.__name__ for k in kinds), value))
-    return value
+            for line in _trace_lines(tr):
+                f.write(line + "\n")
 
 
 def read_traces(path) -> list:
-    """Parse a trace file back into per-utterance records.  Every line must
-    name the open utterance, the file must not end inside one, and every
-    field read must be present with its type."""
+    """Parse a trace file back into DecodeTrace records.  Every line must
+    name the open utterance, the file must not end inside one, every field
+    read must be present with its type, and an utterance's lines must be
+    exactly the lines its record writes, so writing the records back
+    reproduces the file."""
     out = []
-    current, delays, duration = None, [], 0.0  # the open utterance and its events
+    current, lines, reads, tokens, delays = None, [], [], [], []  # the open utterance
+    read_ms = None
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -206,30 +204,41 @@ def read_traces(path) -> list:
             if current not in (None, utt):
                 raise ConfigError("%s line %d belongs to %r inside utterance %r"
                                   % (path, lineno, utt, current))
+            where = "%s line %d" % (path, lineno)
+            lines.append((lineno, line))
             if "event" in obj:
                 current = utt
                 if obj["event"] not in ("R", "W"):
-                    raise ConfigError("%s line %d has unknown event %r"
-                                      % (path, lineno, obj["event"]))
-                ms = _field(obj, "ms", (int, float), path, lineno)
+                    raise ConfigError("%s has unknown event %r" % (where, obj["event"]))
+                ms = typed_field(obj, "ms", (int, float), where)
                 if obj["event"] == "R":
-                    duration = ms
+                    reads.append(typed_field(obj, "g", (int,), where))
+                    read_ms = ms
                 else:
-                    delays.append(ms)
+                    tokens.append(typed_field(obj, "token", (str,), where))
+                    delays.append(read_ms if ms == read_ms else ms)  # one float per read held
             elif "hyp" in obj:
                 cost = obj.get("cost")
                 if not isinstance(cost, dict):
-                    raise ConfigError("%s line %d: cost must be an object, got %r"
-                                      % (path, lineno, cost))
-                out.append(TraceRecord(
-                    utt_id=utt, hypothesis=_field(obj, "hyp", (str,), path, lineno),
-                    delays_ms=delays, duration_ms=duration,
-                    frames_processed=_field(cost, "frames_processed", (int,), path, lineno),
-                    wall_ns=_field(cost, "wall_ns", (int,), path, lineno)))
-                current, delays, duration = None, [], 0.0
+                    raise ConfigError("%s: cost must be an object, got %r" % (where, cost))
+                record = DecodeTrace(
+                    utt, typed_field(obj, "hyp", (str,), where), tuple(reads), tokens, delays,
+                    typed_field(obj, "frame_ms", (int, float), where),
+                    EncodeCost(*(typed_field(cost, key, (int,), where)
+                                 for key in ("frames_processed", "chunks", "wall_ns"))),
+                    typed_field(obj, "truncated", (bool,), where),
+                    typed_field(obj, "suppressed_eos", (int,), where))
+                try:
+                    for (n, got), want in zip(lines, _trace_lines(record)):
+                        if got != want:
+                            raise ConfigError("%s line %d is not the line its record writes, %s"
+                                              % (path, n, want))
+                except ContractError as e:
+                    raise ConfigError("%s: %s" % (where, e)) from None
+                out.append(record)
+                current, lines, reads, tokens, delays = None, [], [], [], []
             else:
-                raise ConfigError("%s line %d is neither an event nor a summary"
-                                  % (path, lineno))
+                raise ConfigError("%s is neither an event nor a summary" % where)
     if current is not None:
         raise ConfigError("%s ends inside utterance %r" % (path, current))
     return out

@@ -42,7 +42,7 @@ def _quarter(n: int) -> int:
     return (n + 2) // 4
 
 
-@dataclass
+@dataclass(slots=True)
 class EncodeCost:
     """Work counters for one stream."""
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check that
+reports a malformed file as a ConfigError."""
 
 
 class ShapeError(ValueError):
@@ -27,3 +28,13 @@ class EmptyUtteranceError(ValueError):
 
 class TrainingDivergedError(RuntimeError):
     """The training loss became non-finite."""
+
+
+def typed_field(obj, key: str, kinds: tuple, where: str):
+    """obj[key], where obj must be a dict and the value one of kinds; a bool
+    counts only where kinds names it.  where names the file and place."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ConfigError("%s: %s must be %s, got %r"
+                          % (where, key, " or ".join(k.__name__ for k in kinds), value))
+    return value

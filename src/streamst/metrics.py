@@ -115,7 +115,7 @@ def average_lagging(delays_ms: list, duration_ms: float, ref_len: int) -> float:
 
 
 def utterance_lagging(trace, reference: str, tokenize: str) -> float | None:
-    """AL of one trace record against its reference text, whose length in
+    """AL of one DecodeTrace against its reference text, whose length in
     tokens counts as at least 1; None when the trace wrote nothing."""
     if not trace.delays_ms:
         return None
@@ -210,7 +210,7 @@ def tradeoff_table(results: list, references: dict, tokenize: str = "word") -> l
     """Aggregate one row per configuration.
 
     results holds (config, traces) pairs, where config carries strategy, k,
-    s, N and segmentation labels, and traces are per-utterance records.
+    s, N and segmentation labels, and traces are per-utterance DecodeTraces.
     Utterances without a reference are skipped with a warning.
     """
     rows = []
@@ -224,8 +224,8 @@ def tradeoff_table(results: list, references: dict, tokenize: str = "word") -> l
                 continue
             hyps.append(tr.hypothesis)
             refs.append(ref)
-            frames.append(tr.frames_processed)
-            walls.append(tr.wall_ns)
+            frames.append(tr.cost.frames_processed)
+            walls.append(tr.cost.wall_ns)
             lag = utterance_lagging(tr, ref, tokenize)
             if lag is None:
                 logger.debug("empty hypothesis for %r, no lag sample", tr.utt_id)

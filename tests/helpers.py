@@ -84,7 +84,8 @@ def simulate_loop(frames, plan, policy, params, cfg, strategy, frame_ms=dec.FRAM
     state = init_decoder_state(cfg)
     prev = BOS_ID
     out_ids = []
-    events = []
+    tokens = []
+    delays = []
     suppressed = 0
     truncated = False
     consumed = 0
@@ -92,8 +93,6 @@ def simulate_loop(frames, plan, policy, params, cfg, strategy, frame_ms=dec.FRAM
     for idx, bound in enumerate(plan.boundaries):
         is_last = idx == n_bounds - 1
         stream.feed(frames[consumed:bound], is_last=is_last)
-        events.append({"utt": plan.utt_id, "event": "R", "frames": bound - consumed,
-                       "g": bound, "ms": bound * frame_ms})
         consumed = bound
         enc = stream.outputs
         if enc is None:
@@ -113,9 +112,8 @@ def simulate_loop(frames, plan, policy, params, cfg, strategy, frame_ms=dec.FRAM
                 state = new_state
                 prev = token
                 out_ids.append(token)
-                events.append({"utt": plan.utt_id, "event": "W",
-                               "token": dec._token_text(vocab, token),
-                               "g": bound, "ms": bound * frame_ms})
+                tokens.append(dec._token_text(vocab, token))
+                delays.append(bound * frame_ms)
         else:
             while True:
                 if len(out_ids) >= policy.cap(stream.positions):
@@ -128,12 +126,11 @@ def simulate_loop(frames, plan, policy, params, cfg, strategy, frame_ms=dec.FRAM
                 state = new_state
                 prev = token
                 out_ids.append(token)
-                events.append({"utt": plan.utt_id, "event": "W",
-                               "token": dec._token_text(vocab, token),
-                               "g": bound, "ms": bound * frame_ms})
-    return dec.DecodeTrace(utt_id=plan.utt_id, events=events,
-                           hypothesis=vocab.decode(out_ids), cost=stream.cost(),
-                           frame_ms=frame_ms, total_frames=plan.total_frames,
+                tokens.append(dec._token_text(vocab, token))
+                delays.append(bound * frame_ms)
+    return dec.DecodeTrace(utt_id=plan.utt_id, hypothesis=vocab.decode(out_ids),
+                           reads=tuple(plan.boundaries), tokens=tokens, delays_ms=delays,
+                           frame_ms=frame_ms, cost=stream.cost(),
                            truncated=truncated, suppressed_eos=suppressed)
 
 

@@ -55,7 +55,7 @@ def sweep_point(utts, params, cfg, k, s=16):
         tr = simulate(u.frames, plan, DecodePolicy(write_tokens=1),
                       params, cfg, "ulstm-reencode")
         hyps.append(tr.hypothesis)
-        delays = tr.write_delays_ms
+        delays = tr.delays_ms
         # a silent system has effectively waited out the whole utterance
         lags.append(average_lagging(delays, tr.duration_ms, len(u.target))
                     if delays else tr.duration_ms)

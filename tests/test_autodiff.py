@@ -46,6 +46,33 @@ class TestMatmul:
             ad.matmul(t(np.zeros(3)), t(np.zeros((3, 2))))
 
 
+class TestMixedDtypes:
+    """Ops of two or more tensors refuse mixed float widths in either
+    operand order instead of casting to the first operand's dtype."""
+
+    @pytest.mark.parametrize("first,second", [(np.float32, np.float64),
+                                              (np.float64, np.float32)])
+    @pytest.mark.parametrize("op", [ad.add, ad.matmul])
+    def test_both_operand_orders_rejected(self, op, first, second):
+        b_shape = (2, 2) if op is ad.matmul else (1, 2)
+        a, b = t(np.ones((1, 2)), dtype=first), t(np.ones(b_shape), dtype=second)
+        names = (np.dtype(first).name, np.dtype(second).name)
+        with pytest.raises(ContractError, match="needs one dtype, got %s, %s" % names):
+            op(a, b)
+
+    def test_structural_ops_rejected(self):
+        a, b = t(np.ones((1, 2))), t(np.ones((1, 2)), dtype=np.float64)
+        for op in (ad.concat_last, lambda x, y: ad.stack_rows([x, y]), ad.sub, ad.mul):
+            with pytest.raises(ContractError):
+                op(a, b)
+
+    def test_conv2d_float64_bias_rejected(self):
+        x, k = t(np.ones((1, 4, 4))), t(np.ones((2, 1, 3, 3)))
+        with pytest.raises(ContractError, match="conv2d needs one dtype, got "
+                                                "float32, float32, float64"):
+            ad.conv2d(x, k, t(np.zeros(2), dtype=np.float64))
+
+
 class TestElementwise:
     def test_tanh_zero(self):
         assert ad.tanh(t([0.0])).data[0] == 0.0

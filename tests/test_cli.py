@@ -10,8 +10,9 @@ import pytest
 from streamst import cli, training
 from streamst.decoder import read_traces
 from streamst.metrics import TRADEOFF_COLUMNS
+from streamst.errors import ConfigError
 from streamst.model import load_checkpoint
-from streamst.synthetic import SyntheticSpec, generate_corpus, save_corpus
+from streamst.synthetic import SyntheticSpec, generate_corpus, load_corpus, save_corpus
 
 GEN_ARGS = ["--utterances", "10", "--min-len", "4", "--max-len", "8",
             "--seed", "1", "--frames-per-symbol", "4", "--feat-dim", "6"]
@@ -282,8 +283,14 @@ def test_report_builds_tables_difficulty_and_subsets(corpus_dir, model_path,
     lines = (out / "per_utterance.jsonl").read_text().splitlines()
     assert len(lines) == 2 * 10
     sample = json.loads(lines[0])
-    assert set(sample) == {"config", "utt", "hyp", "al_ms",
-                           "frames_processed", "wall_ns"}
+    assert set(sample) == {"config", "utt", "hyp", "al_ms", "frames_processed", "wall_ns",
+                           "chunks", "truncated", "suppressed_eos"}
+    records = [r for entry in json.loads((sweep / "sweep.json").read_text())["jobs"]
+               for r in read_traces(sweep / entry["trace"])]
+    per = [json.loads(line) for line in lines]
+    assert [(p["utt"], p["chunks"], p["truncated"], p["suppressed_eos"]) for p in per] == \
+        [(r.utt_id, r.cost.chunks, r.truncated, r.suppressed_eos) for r in records]
+    assert all(p["chunks"] >= 1 for p in per)
     difficulty = (out / "difficulty.csv").read_text().splitlines()
     assert difficulty[0] == "utt_id,difficulty,cutoff"
     assert all(row.split(",")[1] == "1.000000" for row in difficulty[1:])
@@ -334,6 +341,49 @@ def test_report_rejects_a_trace_file_missing_utterances(corpus_dir, model_path,
                    "--out", str(tmp_path / "rep")])
     assert rc == 2
     assert "%s holds 5 utterances, sweep.json records 10" % trace in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"jobs": None}, "sweep.json holds no jobs list"),
+    ({"k": None}, "sweep.json jobs[0]: k must be int, got None"),
+    ({"N": "1"}, "sweep.json jobs[0]: N must be int, got '1'"),
+    ({"trace": "../../x.jsonl"}, "sweep.json jobs[0]: trace '../../x.jsonl' is not a file name in"),
+], ids=["no-jobs-list", "entry-without-k", "entry-with-a-string-N", "trace-outside-the-sweep"])
+def test_report_rejects_a_malformed_sweep_index(corpus_dir, model_path, tmp_path, capsys,
+                                                edit, message):
+    """A malformed sweep.json is a ConfigError naming it and the entry, not
+    a KeyError traceback, and no trace outside the sweep directory is read.
+    edit sets keys of the first job, or of the index for "jobs"; None
+    deletes the key."""
+    sweep = tmp_path / "sweep"
+    assert run_simulate(corpus_dir, model_path, sweep, ["--k", "8", "--s", "16"]) == 0
+    index = json.loads((sweep / "sweep.json").read_text())
+    target = index if "jobs" in edit else index["jobs"][0]
+    for key, value in edit.items():
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    (sweep / "sweep.json").write_text(json.dumps(index))
+    rc = cli.main(["report", "--sweep", str(sweep), "--data", str(corpus_dir),
+                   "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frame_ms", [0.0, -10.0, float("nan"), float("inf")])
+def test_sweep_rejects_a_frame_ms_that_is_not_positive_and_finite(corpus_dir, model_path,
+                                                                  tmp_path, monkeypatch,
+                                                                  frame_ms):
+    """Before any simulation runs or any file is written."""
+    cfg, params = load_checkpoint(model_path)
+    monkeypatch.setattr(cli, "simulate", None)
+    out = tmp_path / "sweep"
+    with pytest.raises(ConfigError, match="frame_ms must be positive and finite"):
+        cli.run_sweep([{"strategy": "ulstm-reencode", "segmentation": "fixed", "k": 8,
+                        "s": 8, "N": 1}], load_corpus(corpus_dir), params, cfg, out,
+                      frame_ms=frame_ms)
+    assert not out.exists()
 
 
 def test_report_lags_agree_with_the_table_on_an_empty_reference(corpus_dir, model_path,

@@ -1,17 +1,18 @@
 """Tests for the online read/write controller and trace files."""
 
 import copy
+import json
 import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import helpers
 from streamst import decoder as dec
 from streamst import model as md
-from streamst.encoding import STRATEGIES
-from streamst.errors import ConfigError, InsufficientFramesError
+from streamst.encoding import STRATEGIES, EncodeCost
+from streamst.errors import ConfigError, ContractError, InsufficientFramesError
 from streamst.segmentation import SegmentationPlan, fixed_plan
 
 
@@ -56,20 +57,52 @@ def rigged_params(cfg, seed, eos_logit):
 
 def check_trace_shape(trace, plan, n_tokens_per_write):
     """Structural invariants every trace must satisfy."""
-    reads = [e for e in trace.events if e["event"] == "R"]
-    assert sum(e["frames"] for e in reads) == plan.total_frames
-    assert [e["g"] for e in reads] == list(plan.boundaries)
-    writes_since_read = 0
-    prev_ms = 0.0
-    for e in trace.events:
-        assert e["ms"] >= prev_ms
-        prev_ms = e["ms"]
-        if e["event"] == "R":
-            writes_since_read = 0
-        else:
-            writes_since_read += 1
-            if e["g"] < plan.total_frames:
-                assert writes_since_read <= n_tokens_per_write
+    assert trace.reads == plan.boundaries
+    assert trace.duration_ms == plan.total_frames * trace.frame_ms
+    assert len(trace.tokens) == len(trace.delays_ms)
+    assert trace.delays_ms == sorted(trace.delays_ms)
+    read_ms = [g * trace.frame_ms for g in trace.reads]
+    assert set(trace.delays_ms) <= set(read_ms)
+    for ms in read_ms[:-1]:
+        assert trace.delays_ms.count(ms) <= n_tokens_per_write
+
+
+def expected_lines(trace):
+    """The json objects a trace's lines hold, built apart from the writer:
+    each read, the writes made at its time, then the summary."""
+    out, prev, writes = [], 0, list(zip(trace.tokens, trace.delays_ms))
+    for g in trace.reads:
+        ms = g * trace.frame_ms
+        out.append({"utt": trace.utt_id, "event": "R", "frames": g - prev, "g": g, "ms": ms})
+        prev = g
+        while writes and writes[0][1] == ms:
+            out.append({"utt": trace.utt_id, "event": "W", "token": writes.pop(0)[0],
+                        "g": g, "ms": ms})
+    assert not writes
+    out.append({"utt": trace.utt_id, "hyp": trace.hypothesis, "frame_ms": trace.frame_ms,
+                "truncated": trace.truncated, "suppressed_eos": trace.suppressed_eos,
+                "cost": {"frames_processed": trace.cost.frames_processed,
+                         "chunks": trace.cost.chunks, "wall_ns": trace.cost.wall_ns}})
+    return out
+
+
+def check_round_trip(path, traces):
+    """Written lines hold what expected_lines says, the file reads back as
+    the traces field for field, and writing those back gives its bytes."""
+    dec.write_traces(path, traces)
+    written = path.read_bytes()
+    assert [json.loads(line) for line in written.decode("utf-8").splitlines()] == \
+        [obj for tr in traces for obj in expected_lines(tr)]
+    back = dec.read_traces(path)
+    assert back == traces
+    dec.write_traces(path, back)
+    assert path.read_bytes() == written
+
+
+def without_wall(trace):
+    """The trace with its encoder wall time zeroed, for comparing runs."""
+    trace.cost.wall_ns = 0
+    return trace
 
 
 class TestSimulate:
@@ -94,12 +127,15 @@ class TestSimulate:
         trace = dec.simulate(frames, plan, policy, uni_params, uni_cfg, "ulstm-reencode")
         check_trace_shape(trace, plan, 2)
 
-    def test_write_delays_use_frame_ms(self, uni_cfg, uni_params):
+    def test_write_delays_use_frame_ms(self, uni_cfg, uni_params, tmp_path):
         frames = utterance(40, uni_cfg.feat_dim, seed=5)
         plan = fixed_plan(40, k=8, s=8)
         trace = dec.simulate(frames, plan, dec.DecodePolicy(), uni_params, uni_cfg,
                              "ulstm-reencode", frame_ms=10.0)
-        for e in trace.events:
+        assert trace.delays_ms
+        dec.write_traces(tmp_path / "t.jsonl", [trace])
+        for line in (tmp_path / "t.jsonl").read_text().splitlines()[:-1]:
+            e = json.loads(line)
             assert e["ms"] == e["g"] * 10.0
 
     def test_plan_length_mismatch(self, uni_cfg, uni_params):
@@ -119,13 +155,8 @@ class TestSimulate:
         plan = fixed_plan(60, k=16, s=8)
         trace = dec.simulate(frames, plan, dec.DecodePolicy(write_tokens=2),
                              uni_params, uni_cfg, "ulstm-reencode")
-        body = ""
-        for e in trace.events:
-            if e["event"] == "W":
-                assert isinstance(e["token"], str)
-                if not e["token"].startswith("<"):
-                    body += e["token"]
-        assert body == trace.hypothesis
+        assert all(isinstance(t, str) for t in trace.tokens)
+        assert "".join(t for t in trace.tokens if not t.startswith("<")) == trace.hypothesis
 
 
 class TestEosHandling:
@@ -137,7 +168,7 @@ class TestEosHandling:
                              "ulstm-reencode")
         assert trace.hypothesis == ""
         assert trace.suppressed_eos == len(plan.boundaries) - 1
-        assert not [e for e in trace.events if e["event"] == "W"]
+        assert trace.tokens == [] and trace.delays_ms == []
         assert trace.truncated is False
 
     def test_suppression_does_not_commit_state(self, uni_cfg):
@@ -160,7 +191,7 @@ class TestEosHandling:
         trace = dec.simulate(frames, plan, policy, params, uni_cfg, "ulstm-reencode")
         assert trace.truncated is True
         cap = policy.cap(40 // 4)
-        assert len([e for e in trace.events if e["event"] == "W"]) == cap
+        assert len(trace.tokens) == len(trace.delays_ms) == cap
 
     def test_blocked_eos_writes_exactly_n_midstream(self, uni_cfg):
         params = rigged_params(uni_cfg, seed=10, eos_logit=-1e9)
@@ -169,8 +200,7 @@ class TestEosHandling:
         policy = dec.DecodePolicy(write_tokens=3)
         trace = dec.simulate(frames, plan, policy, params, uni_cfg, "ulstm-reencode")
         for bound in plan.boundaries[:-1]:
-            n = len([e for e in trace.events if e["event"] == "W" and e["g"] == bound])
-            assert n == 3
+            assert trace.delays_ms.count(bound * trace.frame_ms) == 3
 
     def test_offline_cap_logs_warning(self, uni_cfg, caplog):
         params = rigged_params(uni_cfg, seed=13, eos_logit=-1e9)
@@ -203,11 +233,7 @@ class TestAgainstLoopOracles:
         plan = SegmentationPlan("h", t_len, bounds)
         got = dec.simulate(frames, plan, policy, params, cfg, strategy)
         want = helpers.simulate_loop(frames, plan, policy, params, cfg, strategy)
-        assert got.events == want.events
-        assert got.hypothesis == want.hypothesis
-        assert got.suppressed_eos == want.suppressed_eos
-        assert got.truncated == want.truncated
-        assert got.cost.frames_processed == want.cost.frames_processed
+        assert without_wall(got) == without_wall(want)
         assert dec.offline_translate(frames, params, cfg, policy) == \
             helpers.offline_translate_loop(frames, params, cfg, policy)
 
@@ -218,8 +244,8 @@ class TestLatencyShape:
         frames = utterance(32, uni_cfg.feat_dim, seed=11)
         trace = dec.simulate(frames, fixed_plan(32, k=32, s=8), dec.DecodePolicy(),
                              params, uni_cfg, "ulstm-reencode")
-        assert trace.write_delays_ms
-        assert all(d == trace.duration_ms for d in trace.write_delays_ms)
+        assert trace.delays_ms
+        assert all(d == trace.duration_ms for d in trace.delays_ms)
 
     def test_first_delay_grows_with_k(self, uni_cfg):
         params = rigged_params(uni_cfg, seed=12, eos_logit=-1e9)
@@ -228,7 +254,7 @@ class TestLatencyShape:
         for k in (8, 16, 32, 64):
             trace = dec.simulate(frames, fixed_plan(96, k=k, s=8), dec.DecodePolicy(),
                                  params, uni_cfg, "ulstm-reencode")
-            first_delays.append(trace.write_delays_ms[0])
+            first_delays.append(trace.delays_ms[0])
         assert first_delays == sorted(first_delays)
         assert first_delays[0] < first_delays[-1]
 
@@ -241,19 +267,9 @@ class TestTraceFiles:
             plan = fixed_plan(t_len, k=16, s=8, utt_id="utt%d" % i)
             traces.append(dec.simulate(frames, plan, dec.DecodePolicy(write_tokens=2),
                                        uni_params, uni_cfg, "ulstm-reencode"))
-        path = tmp_path / "traces.jsonl"
-        dec.write_traces(path, traces)
-        back = dec.read_traces(path)
-        assert [r.utt_id for r in back] == ["utt0", "utt1"]
-        for rec, tr in zip(back, traces):
-            assert rec.hypothesis == tr.hypothesis
-            assert rec.delays_ms == tr.write_delays_ms
-            assert rec.duration_ms == tr.duration_ms
-            assert rec.frames_processed == tr.cost.frames_processed
-            assert rec.wall_ns == tr.cost.wall_ns
+        check_round_trip(tmp_path / "traces.jsonl", traces)
 
     def test_field_names_are_stable(self, uni_cfg, uni_params, tmp_path):
-        import json
         frames = utterance(40, uni_cfg.feat_dim, seed=22)
         plan = fixed_plan(40, k=16, s=8, utt_id="fields")
         trace = dec.simulate(frames, plan, dec.DecodePolicy(write_tokens=2),
@@ -267,8 +283,8 @@ class TestTraceFiles:
             else:
                 assert set(obj) == {"utt", "event", "token", "g", "ms"}
         final = lines[-1]
-        assert set(final) == {"utt", "hyp", "cost"}
-        assert set(final["cost"]) == {"frames_processed", "wall_ns"}
+        assert set(final) == {"utt", "hyp", "frame_ms", "truncated", "suppressed_eos", "cost"}
+        assert set(final["cost"]) == {"frames_processed", "chunks", "wall_ns"}
 
     def test_truncated_file_rejected(self, uni_cfg, uni_params, tmp_path):
         frames = utterance(40, uni_cfg.feat_dim, seed=23)
@@ -317,7 +333,10 @@ class TestTraceFiles:
             dec.read_traces(path)
 
     R_EVENT = '{"utt": "a", "event": "R", "frames": 16, "g": 16, "ms": 160.0}'
-    SUMMARY = '{"utt": "a", "hyp": "x", "cost": {"frames_processed": 16, "wall_ns": 5}}'
+    SUMMARY = ('{"utt": "a", "hyp": "x", "frame_ms": 10.0, "truncated": false, '
+               '"suppressed_eos": 0, "cost": {"frames_processed": 16, "chunks": 1, '
+               '"wall_ns": 5}}')
+    W_EVENT = '{"utt": "a", "event": "W", "token": "x", "g": 16, "ms": 160.0}'
 
     @pytest.mark.parametrize("lines,message", [
         ([R_EVENT, '{"utt": "a", "hyp": "x"}'], "line 2: cost must be an object, got None"),
@@ -326,12 +345,83 @@ class TestTraceFiles:
          "line 1: ms must be int or float, got None"),
         ([R_EVENT, '{"utt": "a", "event": "W", "token": "x", "g": 16, "ms": "40"}', SUMMARY],
          "line 2: ms must be int or float, got '40'"),
-    ], ids=["summary-without-cost", "cost-not-an-object", "event-without-ms", "ms-a-string"])
+        ([R_EVENT, SUMMARY.replace(', "suppressed_eos": 0', '')],
+         "line 2: suppressed_eos must be int, got None"),
+        ([R_EVENT, SUMMARY.replace("false", "0")], "line 2: truncated must be bool, got 0"),
+        ([R_EVENT, SUMMARY.replace('"chunks": 1', '"chunks": 1.0')],
+         "line 2: chunks must be int, got 1.0"),
+        ([R_EVENT.replace("160.0", "170.0"), SUMMARY],
+         "line 1 is not the line its record writes"),
+        ([R_EVENT, W_EVENT.replace("160.0", "240.0"), SUMMARY],
+         "line 3: trace 'a' places 0 of its 1 tokens and 1 delays after a read"),
+        ([R_EVENT, SUMMARY.replace("10.0", "10")], "line 1 is not the line its record writes"),
+    ], ids=["summary-without-cost", "cost-not-an-object", "event-without-ms", "ms-a-string",
+            "summary-without-suppressed-eos", "truncated-not-a-bool", "chunks-a-float",
+            "read-time-off-its-frame", "write-at-no-read-time", "frame-ms-an-int"])
     def test_malformed_record_rejected(self, tmp_path, lines, message):
-        """A record missing a field, or holding one of the wrong type, is a
-        ConfigError naming the file and line, not a KeyError or TypeError
-        and not a duration of '40'."""
+        """A record missing a field, or holding one of the wrong type, or
+        lines other than the ones its record writes, is a ConfigError naming
+        the file and line, not a KeyError or TypeError and not a duration
+        of '40'."""
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="bad.jsonl %s" % message):
             dec.read_traces(path)
+
+
+TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)  # lone surrogates too
+
+
+@st.composite
+def trace_records(draw):
+    """Arbitrary consistent traces: increasing reads, writes at read times."""
+    frame_ms = draw(st.sampled_from([0.1, 12.5, 10.0, 1 / 3])
+                    | st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    reads = tuple(sorted(draw(st.sets(st.integers(1, 5000), min_size=1, max_size=6))))
+    tokens, delays = [], []
+    for g in reads:
+        for _ in range(draw(st.integers(0, 3))):
+            tokens.append(draw(st.sampled_from(["<pad>", "<bos>", "a", '"', "\n"]) | TEXT))
+            delays.append(g * frame_ms)
+    utt_id = draw(st.sampled_from(['say "hi"', "two\nlines", "\ud800", ""]) | TEXT)
+    counts = st.integers(0, 2 ** 63)
+    return dec.DecodeTrace(utt_id, draw(TEXT), reads, tokens, delays, frame_ms,
+                           EncodeCost(draw(counts), draw(counts), draw(counts)),
+                           draw(st.booleans()), draw(st.integers(0, 1000)))
+
+
+class TestTraceRoundTrip:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(traces=st.lists(trace_records(), max_size=4))
+    def test_arbitrary_records(self, tmp_path, traces):
+        check_round_trip(tmp_path / "any.jsonl", traces)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(strategy=st.sampled_from(STRATEGIES), t_len=st.integers(4, 72),
+           cuts=st.lists(st.integers(1, 71), max_size=8), write_tokens=st.integers(1, 3),
+           eos_logit=st.sampled_from([None, 1e9, -1e9]),
+           frame_ms=st.sampled_from([0.1, 12.5, 10.0]) | st.floats(1e-3, 1e3))
+    def test_simulated_traces(self, uni_cfg, bi_cfg, tmp_path, strategy, t_len, cuts,
+                              write_tokens, eos_logit, frame_ms):
+        cfg = bi_cfg if strategy == "blstm-reencode" else uni_cfg
+        params = (md.create_parameters(cfg, seed=1) if eos_logit is None
+                  else rigged_params(cfg, 1, eos_logit))
+        frames = utterance(t_len, cfg.feat_dim, seed=t_len)
+        bounds = tuple(sorted({c for c in cuts if c < t_len})) + (t_len,)
+        plan = SegmentationPlan("sim", t_len, bounds)
+        trace = dec.simulate(frames, plan, dec.DecodePolicy(write_tokens=write_tokens),
+                             params, cfg, strategy, frame_ms=frame_ms)
+        check_trace_shape(trace, plan, write_tokens)
+        check_round_trip(tmp_path / "sim.jsonl", [trace])
+
+    def test_write_at_no_read_time_rejected(self, tmp_path):
+        """A record whose writes could not be placed after a read is not
+        written silently short."""
+        bad = dec.DecodeTrace("a", "x", (16,), ["x"], [170.0], 10.0, EncodeCost(16, 1, 5))
+        with pytest.raises(ContractError, match="places 0 of its 1 tokens and 1 delays"):
+            dec.write_traces(tmp_path / "bad.jsonl", [bad])
+        short = dec.DecodeTrace("a", "x", (16,), ["x", "y"], [160.0], 10.0, EncodeCost(16, 1, 5))
+        with pytest.raises(ContractError, match="places 1 of its 2 tokens and 1 delays"):
+            dec.write_traces(tmp_path / "bad.jsonl", [short])

@@ -11,7 +11,8 @@ import pytest
 from streamst import cli
 from streamst import metrics as mt
 from streamst import synthetic as sy
-from streamst.decoder import TraceRecord
+from streamst.decoder import DecodeTrace
+from streamst.encoding import EncodeCost
 from streamst.errors import ConfigError
 
 
@@ -294,7 +295,9 @@ class TestAlignmentFiles:
 
 
 def record(utt_id, hyp, delays, duration, frames=100, wall=50):
-    return TraceRecord(utt_id, hyp, delays, duration, frames, wall)
+    """A trace of one read of the whole utterance, which lasts duration ms."""
+    return DecodeTrace(utt_id, hyp, reads=(1,), tokens=["x"] * len(delays), delays_ms=delays,
+                       frame_ms=duration, cost=EncodeCost(frames, 1, wall))
 
 
 class TestTradeoffTable:
