@@ -483,7 +483,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     return _op(y, operands, rule)
 
 
-def maxpool2d(x: Tensor, pool: int = 2, stride: int = 2) -> Tensor:
+def maxpool2d(x: Tensor, pool: int = 2) -> Tensor:
     """Non-overlapping max pooling over (C, H, W); ties go to the first
     element in row-major window order, and a window holding a NaN gives NaN.
     Trailing rows and columns that do not fill a window are dropped.
@@ -495,8 +495,6 @@ def maxpool2d(x: Tensor, pool: int = 2, stride: int = 2) -> Tensor:
     """
     if x.data.ndim != 3:
         raise ShapeError("maxpool2d input must be (C, H, W), got %r" % (x.shape,))
-    if pool != stride:
-        raise ValueError("only pool == stride is supported")
     c, h, w = x.shape
     ho, wo = h // pool, w // pool
     if ho < 1 or wo < 1:

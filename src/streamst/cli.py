@@ -12,20 +12,19 @@ import argparse
 import csv
 import json
 import logging
-import math
 import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .decoder import (FRAME_MS, DecodePolicy, offline_translate, read_traces,
-                      simulate, write_traces)
+from .decoder import (FRAME_MS, DecodePolicy, check_frame_ms, offline_translate,
+                      read_traces, simulate, write_traces)
 from .encoding import STRATEGIES
-from .errors import ConfigError, typed_field
+from .errors import ConfigError, ContractError, parse_json, read_text, typed_field
 from .metrics import (TRADEOFF_COLUMNS, bleu, extract_subsets, lagging_difficulty,
                       tradeoff_table, utterance_lagging)
 from .model import ModelConfig, create_parameters, load_checkpoint, save_checkpoint
@@ -64,11 +63,7 @@ def _cmd_generate(args) -> int:
                              seed=args.seed)
     out = Path(args.out)
     save_corpus(out, corpus)
-    task = {"alphabet": spec.alphabet,
-            "frames_per_symbol": spec.frames_per_symbol,
-            "feat_dim": spec.feat_dim, "noise_sigma": spec.noise_sigma,
-            "cipher_shift": spec.cipher_shift, "seed": spec.seed}
-    (out / "task.json").write_text(json.dumps(task, indent=2, sort_keys=True) + "\n",
+    (out / "task.json").write_text(json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n",
                                    encoding="utf-8")
     total = sum(u.n_frames for u in corpus)
     print("wrote %d utterances (%d frames) to %s" % (len(corpus), total, out))
@@ -175,7 +170,9 @@ def _build_plan(job: dict, total_frames: int, spans, seed: int, utt_id: str):
         if spans is None:
             raise ConfigError("word segmentation needs boundaries for %r" % (utt_id,))
         return oracle_word_plan(total_frames, spans, job["k"], utt_id)
-    return random_plan(total_frames, job["k"], job["s"], seed, utt_id)
+    if seg == "random":
+        return random_plan(total_frames, job["k"], job["s"], seed, utt_id)
+    raise ContractError("run_sweep admits no segmentation %r" % (seg,))
 
 
 _POOL: dict = {}
@@ -208,12 +205,16 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
     rebuilds the rows from the files.  Utterances parallelize across
     processes when workers > 1; results keep corpus order either way.  A
     configuration listed twice is rejected, since both would write the same
-    trace file, and so is a frame_ms that is not positive and finite.
+    trace file, and so are an unknown strategy or segmentation and a
+    frame_ms that is not positive and finite, all before any file is written.
     """
-    if not 0 < frame_ms < math.inf:
-        raise ConfigError("frame_ms must be positive and finite, got %r" % (frame_ms,))
+    check_frame_ms(frame_ms)
     names = [_trace_name(job) for job in jobs]
     for j, job in enumerate(jobs):
+        for key, known in (("strategy", STRATEGIES), ("segmentation", SEGMENTATIONS)):
+            if job[key] not in known:
+                raise ConfigError("sweep job %d %r has unknown %s %r; known: %s"
+                                  % (j, job, key, job[key], ", ".join(known)))
         if names[j] in names[:j]:
             raise ConfigError("sweep lists the configuration %(strategy)s %(segmentation)s "
                               "k=%(k)d s=%(s)d N=%(N)d twice" % job)
@@ -367,14 +368,9 @@ def _read_sweep(sweep_dir):
     records are rejected."""
     root = Path(sweep_dir)
     path = root / "sweep.json"
-    if not path.exists():
-        raise ConfigError("no sweep index at %s" % path)
-    sweep = json.loads(path.read_text(encoding="utf-8"))
-    jobs = sweep.get("jobs") if isinstance(sweep, dict) else None
-    if not isinstance(jobs, list):
-        raise ConfigError("%s holds no jobs list" % path)
+    sweep = parse_json(read_text(path), path)
     results = []
-    for i, entry in enumerate(jobs):
+    for i, entry in enumerate(typed_field(sweep, "jobs", (list,), path)):
         where = "%s jobs[%d]" % (path, i)
         config = {key: typed_field(entry, key, kinds, where) for key, kinds in (
             ("strategy", (str,)), ("k", (int,)), ("s", (int,)), ("N", (int,)),
@@ -571,13 +567,8 @@ def _apply_config_file(parser, argv):
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
-    path = Path(known.config)
-    if not path.exists():
-        raise ConfigError("no config file at %s" % path)
-    try:
-        values = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError("config %s is not valid json: %s" % (path, e)) from None
+    path = known.config
+    values = parse_json(read_text(path), path)
     if not isinstance(values, dict):
         raise ConfigError("config %s must hold a json object" % path)
     sub = parser.sub_commands.get(known.command)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import EncodeCost, EncoderStream
-from .errors import ConfigError, ContractError, InsufficientFramesError, typed_field
+from .errors import (ConfigError, ContractError, InsufficientFramesError, parse_json, read_text,
+                     typed_field)
 from .model import (BOS_ID, EOS_ID, NUM_SPECIALS, ModelConfig, Parameters, Vocab,
                     decode_step, init_decoder_state)
 from .segmentation import SegmentationPlan
@@ -70,6 +71,12 @@ def _token_text(vocab: Vocab, token: int) -> str:
     return vocab.decode([token])
 
 
+def check_frame_ms(frame_ms: float) -> None:
+    """A frame lasts a positive, finite time; no trace file holds another."""
+    if not 0 < frame_ms < float("inf"):
+        raise ConfigError("frame_ms must be positive and finite, got %r" % (frame_ms,))
+
+
 def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
              params: Parameters, cfg: ModelConfig, strategy: str,
              frame_ms: float = FRAME_MS) -> DecodeTrace:
@@ -81,6 +88,7 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
     uncommitted.  The final read writes until end-of-sequence or the length
     cap, and reaching the cap there marks the trace truncated.
     """
+    check_frame_ms(frame_ms)
     frames = np.asarray(frames, dtype=np.float32)
     if len(frames) != plan.total_frames:
         raise ConfigError("plan covers %d frames, utterance has %d"
@@ -189,56 +197,47 @@ def read_traces(path) -> list:
     out = []
     current, lines, reads, tokens, delays = None, [], [], [], []  # the open utterance
     read_ms = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise ConfigError("%s line %d is not valid json" % (path, lineno)) from None
-            utt = obj.get("utt") if isinstance(obj, dict) else None
-            if utt is None:
-                raise ConfigError("%s line %d names no utterance" % (path, lineno))
-            if current not in (None, utt):
-                raise ConfigError("%s line %d belongs to %r inside utterance %r"
-                                  % (path, lineno, utt, current))
-            where = "%s line %d" % (path, lineno)
-            lines.append((lineno, line))
-            if "event" in obj:
-                current = utt
-                if obj["event"] not in ("R", "W"):
-                    raise ConfigError("%s has unknown event %r" % (where, obj["event"]))
-                ms = typed_field(obj, "ms", (int, float), where)
-                if obj["event"] == "R":
-                    reads.append(typed_field(obj, "g", (int,), where))
-                    read_ms = ms
-                else:
-                    tokens.append(typed_field(obj, "token", (str,), where))
-                    delays.append(read_ms if ms == read_ms else ms)  # one float per read held
-            elif "hyp" in obj:
-                cost = obj.get("cost")
-                if not isinstance(cost, dict):
-                    raise ConfigError("%s: cost must be an object, got %r" % (where, cost))
-                record = DecodeTrace(
-                    utt, typed_field(obj, "hyp", (str,), where), tuple(reads), tokens, delays,
-                    typed_field(obj, "frame_ms", (int, float), where),
-                    EncodeCost(*(typed_field(cost, key, (int,), where)
-                                 for key in ("frames_processed", "chunks", "wall_ns"))),
-                    typed_field(obj, "truncated", (bool,), where),
-                    typed_field(obj, "suppressed_eos", (int,), where))
-                try:
-                    for (n, got), want in zip(lines, _trace_lines(record)):
-                        if got != want:
-                            raise ConfigError("%s line %d is not the line its record writes, %s"
-                                              % (path, n, want))
-                except ContractError as e:
-                    raise ConfigError("%s: %s" % (where, e)) from None
-                out.append(record)
-                current, lines, reads, tokens, delays = None, [], [], [], []
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        where = "%s line %d" % (path, lineno)
+        obj = parse_json(line, where)
+        utt = typed_field(obj, "utt", (str,), where)
+        if current not in (None, utt):
+            raise ConfigError("%s belongs to %r inside utterance %r" % (where, utt, current))
+        lines.append((lineno, line))
+        if "event" in obj:
+            current = utt
+            if obj["event"] not in ("R", "W"):
+                raise ConfigError("%s has unknown event %r" % (where, obj["event"]))
+            ms = typed_field(obj, "ms", (int, float), where)
+            if obj["event"] == "R":
+                reads.append(typed_field(obj, "g", (int,), where))
+                read_ms = ms
             else:
-                raise ConfigError("%s is neither an event nor a summary" % where)
+                tokens.append(typed_field(obj, "token", (str,), where))
+                delays.append(read_ms if ms == read_ms else ms)  # one float per read held
+        elif "hyp" in obj:
+            cost = typed_field(obj, "cost", (dict,), where)
+            record = DecodeTrace(
+                utt, typed_field(obj, "hyp", (str,), where), tuple(reads), tokens, delays,
+                typed_field(obj, "frame_ms", (int, float), where),
+                EncodeCost(*(typed_field(cost, key, (int,), where)
+                             for key in ("frames_processed", "chunks", "wall_ns"))),
+                typed_field(obj, "truncated", (bool,), where),
+                typed_field(obj, "suppressed_eos", (int,), where))
+            try:
+                for (n, got), want in zip(lines, _trace_lines(record)):
+                    if got != want:
+                        raise ConfigError("%s line %d is not the line its record writes, %s"
+                                          % (path, n, want))
+            except (ContractError, OverflowError) as e:  # a g no float can hold
+                raise ConfigError("%s: %s" % (where, e)) from None
+            out.append(record)
+            current, lines, reads, tokens, delays = None, [], [], [], []
+        else:
+            raise ConfigError("%s is neither an event nor a summary" % where)
     if current is not None:
         raise ConfigError("%s ends inside utterance %r" % (path, current))
     return out

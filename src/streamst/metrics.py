@@ -153,7 +153,8 @@ class DifficultyScore:
 
 
 def lagging_difficulty(align: AlignmentSet) -> DifficultyScore:
-    """Score from the running maximum of aligned source positions.
+    """Average lagging of the running maximum of aligned source positions,
+    with src_len as the duration and tgt_len as the reference length.
 
     The source counts as exhausted at the final target token regardless of
     alignment coverage, so the cut-off position always exists.
@@ -163,19 +164,13 @@ def lagging_difficulty(align: AlignmentSet) -> DifficultyScore:
     by_target: dict = {}
     for i, t in align.pairs:
         by_target[t] = max(by_target.get(t, 0), i)
-    z = 0
-    zs = []
-    for t in range(1, align.tgt_len + 1):
+    z, zs = 0, []
+    for t in range(1, align.tgt_len):
         z = max(z, by_target.get(t, 0))
-        if t == align.tgt_len:
-            z = align.src_len
         zs.append(z)
-    tau = next(t for t, zt in enumerate(zs, 1) if zt == align.src_len)
-    rate = align.src_len / align.tgt_len
-    total = 0.0
-    for t in range(1, tau + 1):
-        total += zs[t - 1] - rate * (t - 1)
-    return DifficultyScore(align.utt_id, total / tau, tau)
+    zs.append(align.src_len)
+    return DifficultyScore(align.utt_id, average_lagging(zs, align.src_len, align.tgt_len),
+                           zs.index(align.src_len) + 1)
 
 
 def extract_subsets(scores: list, n: int):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, InsufficientFramesError
+from .errors import BinaryReader, ConfigError, ContractError, InsufficientFramesError
 
 CHECKPOINT_MAGIC = b"STRMST01"
 
@@ -129,11 +129,12 @@ class Parameters:
             t.zero_grad()
 
 
-def _parameter_shapes(cfg: ModelConfig) -> list:
-    """Declaration-ordered (name, shape) list; serialisation follows it."""
+def _parameter_shapes(cfg: ModelConfig):
+    """Declaration-ordered (name, shape) pairs, made one at a time so a
+    reader stops at the first tensor its file cannot hold."""
     c0, c1 = cfg.vgg_channels
     h = cfg.hidden
-    shapes = [
+    yield from [
         ("vgg0_conv1_k", (c0, 1, 3, 3)), ("vgg0_conv1_b", (c0,)),
         ("vgg0_conv2_k", (c0, c0, 3, 3)), ("vgg0_conv2_b", (c0,)),
         ("vgg1_conv1_k", (c1, c0, 3, 3)), ("vgg1_conv1_b", (c1,)),
@@ -143,14 +144,14 @@ def _parameter_shapes(cfg: ModelConfig) -> list:
     in_dim = cfg.frontend_out
     for layer in range(cfg.enc_layers):
         for d in directions:
-            shapes += [
+            yield from [
                 ("enc%d_%s_wx" % (layer, d), (in_dim, 4 * h)),
                 ("enc%d_%s_wh" % (layer, d), (h, 4 * h)),
                 ("enc%d_%s_b" % (layer, d), (4 * h,)),
             ]
         in_dim = h * len(directions)
     enc_out = cfg.enc_out
-    shapes += [
+    yield from [
         ("dec0_wx", (cfg.embed_dim + enc_out, 4 * h)),
         ("dec0_wh", (h, 4 * h)), ("dec0_b", (4 * h,)),
         ("dec1_wx", (h, 4 * h)), ("dec1_wh", (h, 4 * h)), ("dec1_b", (4 * h,)),
@@ -161,7 +162,6 @@ def _parameter_shapes(cfg: ModelConfig) -> list:
         ("out_b", (cfg.vocab_size,)),
         ("embed", (cfg.vocab_size, cfg.embed_dim)),
     ]
-    return shapes
 
 
 def create_parameters(cfg: ModelConfig, seed: int = 0) -> Parameters:
@@ -309,35 +309,17 @@ def save_checkpoint(path, cfg: ModelConfig, params: Parameters) -> None:
 
 def load_checkpoint(path):
     """Read a checkpoint back; returns (config, parameters)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise ConfigError("%s is not a model checkpoint (bad magic)" % (path,))
-    off = 8
+    f = BinaryReader(path, CHECKPOINT_MAGIC)
+    fields = f.unpack("<8I")
+    vocab = f.text()
     try:
-        fields = struct.unpack_from("<8I", blob, off)
-        off += 32
-        (vlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        vocab = blob[off:off + vlen].decode("utf-8")
-        if len(blob[off:off + vlen]) != vlen:
-            raise struct.error("short vocab block")
-        off += vlen
-    except struct.error:
-        raise ConfigError("%s is truncated" % (path,)) from None
-    cfg = ModelConfig(feat_dim=fields[0], vgg_channels=(fields[1], fields[2]),
-                      enc_layers=fields[3], bidirectional=bool(fields[4]),
-                      hidden=fields[5], attn_dim=fields[6], embed_dim=fields[7],
-                      vocab=vocab)
-    named = []
-    for name, shape in _parameter_shapes(cfg):
-        n = int(np.prod(shape))
-        chunk = blob[off:off + 4 * n]
-        if len(chunk) != 4 * n:
-            raise ConfigError("%s is truncated at tensor %s" % (path, name))
-        data = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float32)
-        named.append((name, ad.Tensor(data, requires_grad=True)))
-        off += 4 * n
-    if off != len(blob):
-        raise ConfigError("%s has %d trailing bytes" % (path, len(blob) - off))
-    return cfg, Parameters(named)
+        cfg = ModelConfig(feat_dim=fields[0], vgg_channels=(fields[1], fields[2]),
+                          enc_layers=fields[3], bidirectional=bool(fields[4]),
+                          hidden=fields[5], attn_dim=fields[6], embed_dim=fields[7],
+                          vocab=vocab)
+    except ConfigError as e:
+        raise ConfigError("%s: %s" % (path, e)) from None
+    params = Parameters([(name, ad.Tensor(f.tensor(shape), requires_grad=True))
+                         for name, shape in _parameter_shapes(cfg)])
+    f.end()
+    return cfg, params

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BinaryReader, ConfigError, read_text
 from .metrics import AlignmentSet
 from .segmentation import WordSpan
 
@@ -198,39 +198,15 @@ def write_features(path, items: list) -> None:
 def read_features(path) -> list:
     """Read (utt_id, frames) pairs back, in file order.  A repeated id
     raises ConfigError naming its entry."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != FEATURES_MAGIC:
-        raise ConfigError("%s is not a feature file (bad magic)" % (path,))
-    try:
-        (count,) = struct.unpack_from("<I", blob, 4)
-        off = 8
-        items = []
-        seen = set()
-        for entry in range(1, count + 1):
-            (id_len,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            utt_id = blob[off:off + id_len].decode("utf-8")
-            if len(blob[off:off + id_len]) != id_len:
-                raise struct.error("short id")
-            if utt_id in seen:
-                raise ConfigError("%s entry %d repeats utterance %r" % (path, entry, utt_id))
-            seen.add(utt_id)
-            off += id_len
-            t_len, d = struct.unpack_from("<II", blob, off)
-            off += 8
-            n_bytes = 4 * t_len * d
-            chunk = blob[off:off + n_bytes]
-            if len(chunk) != n_bytes:
-                raise struct.error("short tensor")
-            items.append((utt_id, np.frombuffer(chunk, dtype="<f4")
-                          .reshape(t_len, d).astype(np.float32)))
-            off += n_bytes
-    except struct.error:
-        raise ConfigError("%s is truncated" % (path,)) from None
-    if off != len(blob):
-        raise ConfigError("%s has %d trailing bytes" % (path, len(blob) - off))
-    return items
+    f = BinaryReader(path, FEATURES_MAGIC)
+    items: dict = {}
+    for entry in range(1, f.unpack("<I")[0] + 1):
+        utt_id = f.text()
+        if utt_id in items:
+            raise ConfigError("%s entry %d repeats utterance %r" % (path, entry, utt_id))
+        items[utt_id] = f.tensor(f.unpack("<II"))
+    f.end()
+    return list(items.items())
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +260,17 @@ def read_rows(path, parse=str) -> dict:
     without a tab, a cell that parse rejects with ValueError, or a repeated
     id raises ConfigError naming the line."""
     table: dict = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                utt_id, cell = line.split("\t", 1)
-                value = parse(cell)
-            except ValueError:
-                raise ConfigError("%s line %d is not id<TAB>cell" % (path, lineno)) from None
-            if utt_id in table:
-                raise ConfigError("%s line %d repeats utterance %r" % (path, lineno, utt_id))
-            table[utt_id] = value
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        try:
+            utt_id, cell = line.split("\t", 1)
+            value = parse(cell)
+        except ValueError:
+            raise ConfigError("%s line %d is not id<TAB>cell" % (path, lineno)) from None
+        if utt_id in table:
+            raise ConfigError("%s line %d repeats utterance %r" % (path, lineno, utt_id))
+        table[utt_id] = value
     return table
 
 
@@ -329,22 +303,20 @@ def save_alignments(path, aligns: list) -> None:
 
 
 def load_alignments(path, ids: list, src_lens: list, tgt_lens: list) -> list:
-    """Read alignments; line order must follow the given utterance order."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    """Read alignments; line order must follow the given utterance order.
+    A malformed pair, or one outside its sentence, is refused naming the line."""
+    lines = read_text(path).splitlines()
     if len(lines) != len(ids):
         raise ConfigError("%s has %d lines for %d utterances" % (path, len(lines), len(ids)))
     out = []
-    for utt_id, src_len, tgt_len, line in zip(ids, src_lens, tgt_lens, lines):
-        pairs = set()
-        for cell in line.split():
-            try:
-                i, t = cell.split("-")
-                pairs.add((int(i) + 1, int(t) + 1))
-            except ValueError:
-                raise ConfigError("%s has malformed pair %r for %r"
-                                  % (path, cell, utt_id)) from None
-        out.append(AlignmentSet(utt_id, src_len, tgt_len, frozenset(pairs)))
+    for lineno, (utt_id, src_len, tgt_len, line) in enumerate(
+            zip(ids, src_lens, tgt_lens, lines), 1):
+        try:
+            pairs = frozenset((int(i) + 1, int(t) + 1)
+                              for i, t in (cell.split("-") for cell in line.split()))
+            out.append(AlignmentSet(utt_id, src_len, tgt_len, pairs))
+        except ValueError as e:
+            raise ConfigError("%s line %d, utterance %r: %s" % (path, lineno, utt_id, e)) from None
     return out
 
 

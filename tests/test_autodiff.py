@@ -301,7 +301,7 @@ class TestMaxpool2d:
         weights = np.arange(1, c * ho * wo + 1, dtype=np.float32).reshape(c, ho, wo)
         xt = t(x, grad=True)
         with ad.Tape() as tape:
-            y = ad.maxpool2d(xt, pool, pool)
+            y = ad.maxpool2d(xt, pool)
             loss = ad.sum_all(ad.mul(y, t(weights)))
         ad.backward(tape, loss)
         assert y.data.tobytes() == helpers.maxpool2d_loop(x, pool).tobytes()
@@ -314,7 +314,7 @@ class TestMaxpool2d:
 
         ci, i, j = (data.draw(st.integers(0, n - 1)) for n in (c, h, w))
         x[ci, i, j] = np.nan
-        got, want = ad.maxpool2d(t(x), pool, pool).data, y.data.copy()
+        got, want = ad.maxpool2d(t(x), pool).data, y.data.copy()
         if i < ho * pool and j < wo * pool:
             assert np.isnan(got[ci, i // pool, j // pool])
             want[ci, i // pool, j // pool] = got[ci, i // pool, j // pool]

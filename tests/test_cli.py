@@ -12,7 +12,8 @@ from streamst.decoder import read_traces
 from streamst.metrics import TRADEOFF_COLUMNS
 from streamst.errors import ConfigError
 from streamst.model import load_checkpoint
-from streamst.synthetic import SyntheticSpec, generate_corpus, load_corpus, save_corpus
+from streamst.synthetic import (SyntheticSpec, generate_corpus, load_corpus, save_corpus,
+                                write_features)
 
 GEN_ARGS = ["--utterances", "10", "--min-len", "4", "--max-len", "8",
             "--seed", "1", "--frames-per-symbol", "4", "--feat-dim", "6"]
@@ -72,6 +73,16 @@ def test_generate_is_reproducible(tmp_path):
     assert cli.main(["generate", "--out", str(b)] + GEN_ARGS) == 0
     assert (a / "features.simf").read_bytes() == (b / "features.simf").read_bytes()
     assert (a / "target.tsv").read_bytes() == (b / "target.tsv").read_bytes()
+
+
+def test_task_file_regenerates_the_features(tmp_path):
+    """task.json records every SyntheticSpec field, feature_scale too."""
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data), "--feature-scale", "3"] + GEN_ARGS) == 0
+    spec = SyntheticSpec(**json.loads((data / "task.json").read_text()))
+    write_features(tmp_path / "again.simf", [(u.utt_id, u.frames)
+                                             for u in generate_corpus(spec, 10, 4, 8, seed=1)])
+    assert (tmp_path / "again.simf").read_bytes() == (data / "features.simf").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +355,7 @@ def test_report_rejects_a_trace_file_missing_utterances(corpus_dir, model_path,
 
 
 @pytest.mark.parametrize("edit, message", [
-    ({"jobs": None}, "sweep.json holds no jobs list"),
+    ({"jobs": None}, "sweep.json: jobs must be list, got None"),
     ({"k": None}, "sweep.json jobs[0]: k must be int, got None"),
     ({"N": "1"}, "sweep.json jobs[0]: N must be int, got '1'"),
     ({"trace": "../../x.jsonl"}, "sweep.json jobs[0]: trace '../../x.jsonl' is not a file name in"),
@@ -383,6 +394,20 @@ def test_sweep_rejects_a_frame_ms_that_is_not_positive_and_finite(corpus_dir, mo
         cli.run_sweep([{"strategy": "ulstm-reencode", "segmentation": "fixed", "k": 8,
                         "s": 8, "N": 1}], load_corpus(corpus_dir), params, cfg, out,
                       frame_ms=frame_ms)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("strategy", "ulstm"), ("segmentation", "word")])
+def test_sweep_rejects_an_unknown_strategy_or_segmentation(corpus_dir, model_path, tmp_path,
+                                                           monkeypatch, key, value):
+    """A library caller gets no random plan for a misspelt label: the job is
+    refused before any simulation runs or any file is written."""
+    cfg, params = load_checkpoint(model_path)
+    monkeypatch.setattr(cli, "simulate", None)
+    out = tmp_path / "sweep"
+    job = {"strategy": "ulstm-reencode", "segmentation": "fixed", "k": 8, "s": 8, "N": 1}
+    with pytest.raises(ConfigError, match="sweep job 0 .* has unknown %s '%s'" % (key, value)):
+        cli.run_sweep([{**job, key: value}], load_corpus(corpus_dir), params, cfg, out)
     assert not out.exists()
 
 

@@ -144,6 +144,13 @@ class TestSimulate:
             dec.simulate(frames, fixed_plan(48, k=8, s=8), dec.DecodePolicy(),
                          uni_params, uni_cfg, "ulstm-reencode")
 
+    @pytest.mark.parametrize("frame_ms", [float("nan"), 0.0, -10.0])
+    def test_frame_ms_must_be_positive_and_finite(self, uni_cfg, uni_params, frame_ms):
+        """Such a frame_ms gives delays no trace file can hold."""
+        with pytest.raises(ConfigError, match="frame_ms must be positive and finite"):
+            dec.simulate(utterance(40, 8), fixed_plan(40, 8, 8), dec.DecodePolicy(),
+                         uni_params, uni_cfg, "ulstm-reencode", frame_ms=frame_ms)
+
     def test_too_short_utterance_raises(self, uni_cfg, uni_params):
         frames = utterance(3, uni_cfg.feat_dim)
         with pytest.raises(InsufficientFramesError):
@@ -339,8 +346,8 @@ class TestTraceFiles:
     W_EVENT = '{"utt": "a", "event": "W", "token": "x", "g": 16, "ms": 160.0}'
 
     @pytest.mark.parametrize("lines,message", [
-        ([R_EVENT, '{"utt": "a", "hyp": "x"}'], "line 2: cost must be an object, got None"),
-        ([R_EVENT, '{"utt": "a", "hyp": "x", "cost": 3}'], "line 2: cost must be an object, got 3"),
+        ([R_EVENT, '{"utt": "a", "hyp": "x"}'], "line 2: cost must be dict, got None"),
+        ([R_EVENT, '{"utt": "a", "hyp": "x", "cost": 3}'], "line 2: cost must be dict, got 3"),
         (['{"utt": "a", "event": "R", "frames": 16, "g": 16}', SUMMARY],
          "line 1: ms must be int or float, got None"),
         ([R_EVENT, '{"utt": "a", "event": "W", "token": "x", "g": 16, "ms": "40"}', SUMMARY],
@@ -355,9 +362,14 @@ class TestTraceFiles:
         ([R_EVENT, W_EVENT.replace("160.0", "240.0"), SUMMARY],
          "line 3: trace 'a' places 0 of its 1 tokens and 1 delays after a read"),
         ([R_EVENT, SUMMARY.replace("10.0", "10")], "line 1 is not the line its record writes"),
+        ([R_EVENT.replace('"g": 16', '"g": 1' + "0" * 400), SUMMARY],
+         "line 2: int too large to convert to float"),
+        ([R_EVENT.replace('"a"', "5"), SUMMARY.replace('"a"', "5")], "line 1: utt must be str, got 5"),
+        (["[]"], "line 1: utt must be str, got None"),
     ], ids=["summary-without-cost", "cost-not-an-object", "event-without-ms", "ms-a-string",
             "summary-without-suppressed-eos", "truncated-not-a-bool", "chunks-a-float",
-            "read-time-off-its-frame", "write-at-no-read-time", "frame-ms-an-int"])
+            "read-time-off-its-frame", "write-at-no-read-time", "frame-ms-an-int",
+            "g-past-every-float", "utt-an-int", "line-not-an-object"])
     def test_malformed_record_rejected(self, tmp_path, lines, message):
         """A record missing a field, or holding one of the wrong type, or
         lines other than the ones its record writes, is a ConfigError naming
