@@ -405,10 +405,10 @@ def _sum_taps(taps, weights, start, cols) -> None:
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: str = "same") -> Tensor:
+           padding: str = "same") -> Tensor:
     """2-d convolution over a (C_in, H, W) input, kernels (C_out, C_in, kh, kw).
 
-    Odd kernel sizes only.  "same" pads with zeros so that stride 1 preserves
+    Odd kernel sizes only.  "same" pads with zeros so that the output keeps
     H and W; "valid" does not pad.  The forward works in a layout where the
     time axis H is contiguous.  Each output starts at its bias and adds its
     products one at a time in (c_in, kh, kw) row-major order, so it is
@@ -433,8 +433,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         ph = pw = 0
     else:
         raise ValueError("padding must be 'same' or 'valid', got %r" % (padding,))
-    ho = (h + 2 * ph - kh) // stride + 1
-    wo = (w + 2 * pw - kw) // stride + 1
+    ho = h + 2 * ph - kh + 1
+    wo = w + 2 * pw - kw + 1
     if ho < 1 or wo < 1:
         raise ShapeError("conv2d output would be empty for input %r, kernel (%d, %d), padding %r"
                          % (x.shape, kh, kw, padding))
@@ -453,12 +453,11 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     xp = np.zeros((c_in, w + 2 * pw, hp), dtype=dt)
     xp[:, pw:pw + w, ph:ph + h] = x.data.transpose(0, 2, 1)
     n = (wo - 1) * hp + ho
-    # taps[ci, i, j, 0, q] lies stride * q elements after xp[ci, j, i], which
-    # is xp[ci, oj * stride + j, oi * stride + i] for q = oj * hp + oi.  The
-    # ndarray constructor checks that the view stays inside xp; it costs a
-    # seventh of as_strided, which also left a 0.9 MB block allocated for
-    # good in a long streaming run.
-    taps = np.ndarray((c_in, kh, kw, 1, n), dt, xp, 0, (xp.strides[0], s, hp * s, 0, stride * s))
+    # taps[ci, i, j, 0, q] lies q elements after xp[ci, j, i], which is
+    # xp[ci, oj + j, oi + i] for q = oj * hp + oi.  The ndarray constructor
+    # checks that the view stays inside xp; it costs a seventh of as_strided,
+    # which also left a 0.9 MB block allocated for good in a long streaming run.
+    taps = np.ndarray((c_in, kh, kw, 1, n), dt, xp, 0, (xp.strides[0], s, hp * s, 0, s))
     weights = kernels.data.transpose(1, 2, 3, 0)[..., None]  # (C_in, kh, kw, C_out, 1)
     acc = np.empty((c_out, wo, hp), dtype=dt)
     start = 0 if bias is None else bias.data[:, None]
@@ -471,11 +470,11 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
             dxp = np.zeros(xp.shape, dtype=dt)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += np.tensordot(kd[:, :, i, j], g, axes=(0, 0))
+                    dxp[:, i:i + ho, j:j + wo] += np.tensordot(kd[:, :, i, j], g, axes=(0, 0))
             _accum(x, dxp[:, ph:ph + h, pw:pw + w])
         if kernels.requires_grad:
-            # windows[ci, oi, oj, i, j] = xp[ci, oi * stride + i, oj * stride + j]
-            windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+            # windows[ci, oi, oj, i, j] = xp[ci, oi + i, oj + j]
+            windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
             _accum(kernels, np.tensordot(g, windows, axes=((1, 2), (1, 2))))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(1, 2)))

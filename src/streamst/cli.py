@@ -23,10 +23,10 @@ import numpy as np
 
 from .decoder import (FRAME_MS, DecodePolicy, check_frame_ms, offline_translate,
                       read_traces, simulate, write_traces)
-from .encoding import STRATEGIES
+from .encoding import STRATEGIES, check_strategy
 from .errors import ConfigError, ContractError, parse_json, read_text, typed_field
-from .metrics import (TRADEOFF_COLUMNS, bleu, extract_subsets, lagging_difficulty,
-                      tradeoff_table, utterance_lagging)
+from .metrics import (CONFIG_FIELDS, TOKENIZE_MODES, bleu, check_tokenize, extract_subsets,
+                      lagging_difficulty, tradeoff_table, utterance_lagging, write_tradeoff_csv)
 from .model import ModelConfig, create_parameters, load_checkpoint, save_checkpoint
 from .segmentation import fixed_plan, oracle_word_plan, random_plan
 from .synthetic import SyntheticSpec, generate_corpus, load_corpus, save_corpus, write_rows
@@ -37,6 +37,8 @@ logger = logging.getLogger(__name__)
 MAX_SWEEP_RUNS = 10_000
 
 SEGMENTATIONS = ("fixed", "words", "random")
+_LABEL = "%(strategy)s %(segmentation)s k=%(k)d s=%(s)d N=%(N)d"  # a configuration in messages
+_TRACE_NAME = "trace_%(strategy)s_%(segmentation)s_k%(k)d_s%(s)d_N%(N)d.jsonl"
 
 
 # ---------------------------------------------------------------------------
@@ -142,36 +144,34 @@ def _parse_bounds(cells) -> list:
 
 def _sweep_jobs(args) -> list:
     """Cartesian grid of simulation configurations."""
-    jobs = []
-    for strategy in args.strategy:
-        for n in args.write_tokens:
-            if args.segmentation == "fixed":
-                jobs.extend({"strategy": strategy, "k": k, "s": s, "N": n,
-                             "segmentation": "fixed"}
-                            for k in args.k for s in args.s)
-            elif args.segmentation == "words":
-                jobs.extend({"strategy": strategy, "k": k, "s": 0, "N": n,
-                             "segmentation": "words"}
-                            for k in args.k)
-            else:
-                jobs.extend({"strategy": strategy, "k": low, "s": high, "N": n,
-                             "segmentation": "random"}
-                            for low, high in _parse_bounds(args.bounds))
+    if args.segmentation == "fixed":
+        grid = [(k, s) for k in args.k for s in args.s]
+    elif args.segmentation == "words":
+        grid = [(k, 0) for k in args.k]
+    else:
+        grid = _parse_bounds(args.bounds)
+    jobs = [{"strategy": strategy, "k": k, "s": s, "N": n, "segmentation": args.segmentation}
+            for strategy in args.strategy for n in args.write_tokens for k, s in grid]
     if not jobs:
         raise ConfigError("empty sweep grid")
     return jobs
 
 
-def _build_plan(job: dict, total_frames: int, spans, seed: int, utt_id: str):
-    seg = job["segmentation"]
+def _config(entry, where: str) -> dict:
+    """The CONFIG_FIELDS of a sweep job or sweep.json entry, each of its type."""
+    return {key: typed_field(entry, key, (kind,), where) for key, kind in CONFIG_FIELDS}
+
+
+def _build_plan(config: dict, total_frames: int, spans, seed: int, utt_id: str):
+    seg = config["segmentation"]
     if seg == "fixed":
-        return fixed_plan(total_frames, job["k"], job["s"], utt_id)
+        return fixed_plan(total_frames, config["k"], config["s"], utt_id)
     if seg == "words":
         if spans is None:
             raise ConfigError("word segmentation needs boundaries for %r" % (utt_id,))
-        return oracle_word_plan(total_frames, spans, job["k"], utt_id)
+        return oracle_word_plan(total_frames, spans, config["k"], utt_id)
     if seg == "random":
-        return random_plan(total_frames, job["k"], job["s"], seed, utt_id)
+        return random_plan(total_frames, config["k"], config["s"], seed, utt_id)
     raise ContractError("run_sweep admits no segmentation %r" % (seg,))
 
 
@@ -183,16 +183,9 @@ def _pool_init(cfg, params, frame_ms):
 
 
 def _pool_run(task):
-    job, utt_id, frames, spans, seed = task
-    plan = _build_plan(job, len(frames), spans, seed, utt_id)
-    policy = DecodePolicy(write_tokens=job["N"])
-    return simulate(frames, plan, policy, _POOL["params"], _POOL["cfg"],
-                    job["strategy"], _POOL["frame_ms"])
-
-
-def _trace_name(job: dict) -> str:
-    return "trace_%s_%s_k%d_s%d_N%d.jsonl" % (
-        job["strategy"], job["segmentation"], job["k"], job["s"], job["N"])
+    frames, plan, policy, strategy = task
+    return simulate(frames, plan, policy, _POOL["params"], _POOL["cfg"], strategy,
+                    _POOL["frame_ms"])
 
 
 def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
@@ -202,64 +195,54 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
 
     Returns the aggregated trade-off rows, computed from the traces in
     memory; read_traces gives back exactly these records, so a report
-    rebuilds the rows from the files.  Utterances parallelize across
-    processes when workers > 1; results keep corpus order either way.  A
-    configuration listed twice is rejected, since both would write the same
-    trace file, and so are an unknown strategy or segmentation and a
-    frame_ms that is not positive and finite, all before any file is written.
+    rebuilds the rows from the files.  Simulations parallelize across
+    processes when workers > 1; results keep job and corpus order either
+    way.  Nothing is written unless each job holds the CONFIG_FIELDS with
+    their types, a known segmentation, a strategy the model runs and a
+    configuration no other job has (both would write one trace file), every
+    plan can be built, and frame_ms and tokenize are valid.
     """
     check_frame_ms(frame_ms)
-    names = [_trace_name(job) for job in jobs]
-    for j, job in enumerate(jobs):
+    check_tokenize(tokenize)
+    configs = [_config(job, "sweep job %d" % j) for j, job in enumerate(jobs)]
+    names = [_TRACE_NAME % config for config in configs]
+    for j, config in enumerate(configs):
         for key, known in (("strategy", STRATEGIES), ("segmentation", SEGMENTATIONS)):
-            if job[key] not in known:
+            if config[key] not in known:
                 raise ConfigError("sweep job %d %r has unknown %s %r; known: %s"
-                                  % (j, job, key, job[key], ", ".join(known)))
+                                  % (j, config, key, config[key], ", ".join(known)))
         if names[j] in names[:j]:
-            raise ConfigError("sweep lists the configuration %(strategy)s %(segmentation)s "
-                              "k=%(k)d s=%(s)d N=%(N)d twice" % job)
+            raise ConfigError("sweep lists the configuration %s twice" % (_LABEL % config))
+        check_strategy(config["strategy"], cfg)
     runs = len(jobs) * len(corpus.ids)
     if runs > MAX_SWEEP_RUNS:
         raise ConfigError("sweep would run %d simulations; the guard allows %d"
                           % (runs, MAX_SWEEP_RUNS))
+    tasks = [(corpus.features[utt_id],
+              _build_plan(config, len(corpus.features[utt_id]), corpus.word_spans.get(utt_id),
+                          seed + 9973 * j + i, utt_id),
+              DecodePolicy(write_tokens=config["N"]), config["strategy"])
+             for j, config in enumerate(configs) for i, utt_id in enumerate(corpus.ids)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks_of = {}
-    for j, job in enumerate(jobs):
-        tasks_of[j] = [(job, utt_id, corpus.features[utt_id],
-                        corpus.word_spans.get(utt_id), seed + 9973 * j + i)
-                       for i, utt_id in enumerate(corpus.ids)]
-    results = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(cfg, params, frame_ms)) as pool:
-            for j, job in enumerate(jobs):
-                results.append((job, list(pool.map(_pool_run, tasks_of[j]))))
+            traces = list(pool.map(_pool_run, tasks))
     else:
         _pool_init(cfg, params, frame_ms)
-        for j, job in enumerate(jobs):
-            results.append((job, [_pool_run(t) for t in tasks_of[j]]))
-    index = []
-    for (job, traces), name in zip(results, names):
-        write_traces(out / name, traces)
-        index.append({**job, "trace": name, "utterances": len(traces)})
-    sweep = {"frame_ms": frame_ms, "tokenize": tokenize, "seed": seed,
-             "jobs": index}
+        traces = list(map(_pool_run, tasks))
+    n = len(corpus.ids)
+    results = [(config, traces[j * n:(j + 1) * n]) for j, config in enumerate(configs)]
+    for (config, records), name in zip(results, names):
+        write_traces(out / name, records)
+    index = [{**config, "trace": name, "utterances": n} for config, name in zip(configs, names)]
+    sweep = {"frame_ms": frame_ms, "tokenize": tokenize, "seed": seed, "jobs": index}
     (out / "sweep.json").write_text(json.dumps(sweep, indent=2, sort_keys=True) + "\n",
                                     encoding="utf-8")
     rows = tradeoff_table(results, corpus.targets, tokenize=tokenize)
     write_tradeoff_csv(out / "tradeoff.csv", rows)
     return rows
-
-
-def write_tradeoff_csv(path, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(TRADEOFF_COLUMNS)
-        for r in rows:
-            w.writerow([r.strategy, r.k, r.s, r.n_tokens, r.segmentation,
-                        "%.6f" % r.bleu, "%.3f" % r.al_ms,
-                        "%.1f" % r.frames_processed, "%.1f" % r.wall_ns])
 
 
 def _cmd_simulate(args) -> int:
@@ -272,9 +255,7 @@ def _cmd_simulate(args) -> int:
     print("ran %d configurations over %d utterances; table at %s"
           % (len(jobs), len(corpus.ids), Path(args.out) / "tradeoff.csv"))
     for row in rows:
-        print("  %s %s k=%d s=%d N=%d  BLEU %.4f  AL %.1f ms"
-              % (row.strategy, row.segmentation, row.k, row.s, row.n_tokens,
-                 row.bleu, row.al_ms))
+        print("  %s  BLEU %.4f  AL %.1f ms" % (_LABEL % row.config, row.bleu, row.al_ms))
     return 0
 
 
@@ -369,12 +350,11 @@ def _read_sweep(sweep_dir):
     root = Path(sweep_dir)
     path = root / "sweep.json"
     sweep = parse_json(read_text(path), path)
+    check_tokenize(typed_field(sweep, "tokenize", (str,), path), "%s: tokenize" % path)
     results = []
     for i, entry in enumerate(typed_field(sweep, "jobs", (list,), path)):
         where = "%s jobs[%d]" % (path, i)
-        config = {key: typed_field(entry, key, kinds, where) for key, kinds in (
-            ("strategy", (str,)), ("k", (int,)), ("s", (int,)), ("N", (int,)),
-            ("segmentation", (str,)))}
+        config = _config(entry, where)
         name = typed_field(entry, "trace", (str,), where)
         if name in ("", "..") or Path(name).name != name:
             raise ConfigError("%s: trace %r is not a file name in %s" % (where, name, root))
@@ -398,7 +378,7 @@ def _cmd_report(args) -> int:
     corpus = load_corpus(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tokenize = args.tokenize or sweep.get("tokenize", "word")
+    tokenize = args.tokenize or sweep["tokenize"]
 
     rows = tradeoff_table(results, corpus.targets, tokenize=tokenize)
     write_tradeoff_csv(out / "curves.csv", rows)
@@ -440,11 +420,6 @@ def _cmd_report(args) -> int:
 # argument plumbing
 
 
-def _add_config_flag(sub):
-    sub.add_argument("--config", metavar="FILE",
-                     help="JSON object of defaults; explicit flags override it")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamst",
@@ -456,11 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def subparser(name, **kwargs):
         sub = commands.add_parser(name, **kwargs)
+        sub.add_argument("--config", metavar="FILE",
+                         help="JSON object of defaults; explicit flags override it")
         parser.sub_commands[name] = sub
         return sub
 
     p = subparser("generate", help="write a synthetic corpus")
-    _add_config_flag(p)
     p.add_argument("--out", required=True, help="corpus directory to create")
     p.add_argument("--utterances", type=int, default=200)
     p.add_argument("--min-len", type=int, default=5)
@@ -478,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_generate)
 
     p = subparser("train", help="train a model on a corpus")
-    _add_config_flag(p)
     p.add_argument("--data", required=True, help="corpus directory")
     p.add_argument("--model", required=True, help="checkpoint file to write")
     p.add_argument("--epochs", type=int, default=10)
@@ -502,15 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_train)
 
     p = subparser("translate", help="decode a corpus offline")
-    _add_config_flag(p)
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", help="hypotheses file (id<TAB>text)")
-    p.add_argument("--tokenize", choices=("word", "char"), default="word")
+    p.add_argument("--tokenize", choices=TOKENIZE_MODES, default="word")
     p.set_defaults(run=_cmd_translate)
 
     p = subparser("simulate", help="run an online decoding sweep")
-    _add_config_flag(p)
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="directory for traces and tables")
@@ -525,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="token budget per write")
     p.add_argument("--bounds", nargs="+", default=["5:10"],
                    help="low:high chunk sizes (random segmentation)")
-    p.add_argument("--tokenize", choices=("word", "char"), default="word")
+    p.add_argument("--tokenize", choices=TOKENIZE_MODES, default="word")
     p.add_argument("--frame-ms", type=float, default=FRAME_MS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
@@ -537,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
                   "environment set before launch, for example OMP_NUM_THREADS=1 streamst "
                   "bench.  For careful numbers (BLAS pinned, medians over timed rounds, "
                   "checked outputs, per-layer traces) run perfbench/run.py from a checkout.")
-    _add_config_flag(p)
     p.add_argument("--frames", type=int, default=2000)
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--s", type=int, default=10)
@@ -547,13 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_bench)
 
     p = subparser("report", help="build tables from sweep traces")
-    _add_config_flag(p)
     p.add_argument("--sweep", required=True, help="directory with sweep output")
     p.add_argument("--data", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="directory for report files")
     p.add_argument("--subset-size", type=int, default=0,
                    help="emit hardest/easiest subset curves of this size")
-    p.add_argument("--tokenize", choices=("word", "char"))
+    p.add_argument("--tokenize", choices=TOKENIZE_MODES)
     p.set_defaults(run=_cmd_report)
 
     return parser

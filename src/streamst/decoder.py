@@ -71,10 +71,10 @@ def _token_text(vocab: Vocab, token: int) -> str:
     return vocab.decode([token])
 
 
-def check_frame_ms(frame_ms: float) -> None:
+def check_frame_ms(frame_ms: float, where: str = "frame_ms") -> None:
     """A frame lasts a positive, finite time; no trace file holds another."""
     if not 0 < frame_ms < float("inf"):
-        raise ConfigError("frame_ms must be positive and finite, got %r" % (frame_ms,))
+        raise ConfigError("%s must be positive and finite, got %r" % (where, frame_ms))
 
 
 def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
@@ -220,9 +220,11 @@ def read_traces(path) -> list:
                 delays.append(read_ms if ms == read_ms else ms)  # one float per read held
         elif "hyp" in obj:
             cost = typed_field(obj, "cost", (dict,), where)
+            frame_ms = typed_field(obj, "frame_ms", (int, float), where)
+            check_frame_ms(frame_ms, where + ": frame_ms")
             record = DecodeTrace(
                 utt, typed_field(obj, "hyp", (str,), where), tuple(reads), tokens, delays,
-                typed_field(obj, "frame_ms", (int, float), where),
+                frame_ms,
                 EncodeCost(*(typed_field(cost, key, (int,), where)
                              for key in ("frames_processed", "chunks", "wall_ns"))),
                 typed_field(obj, "truncated", (bool,), where),

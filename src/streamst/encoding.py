@@ -61,6 +61,17 @@ class ChunkRecord:
     discarded: int  # trailing positions dropped as edge-corrupted
 
 
+def check_strategy(strategy: str, cfg: ModelConfig) -> None:
+    """strategy is a known one, and cfg's encoder runs in its direction."""
+    if strategy not in STRATEGIES:
+        raise ConfigError("unknown strategy %r, expected one of %s"
+                          % (strategy, ", ".join(STRATEGIES)))
+    if strategy == "blstm-reencode" and not cfg.bidirectional:
+        raise ConfigError("blstm-reencode needs a bidirectional model")
+    if strategy != "blstm-reencode" and cfg.bidirectional:
+        raise ConfigError("%s needs a unidirectional model" % strategy)
+
+
 class EncoderStream:
     """Incremental encoder for one utterance.
 
@@ -71,13 +82,7 @@ class EncoderStream:
     """
 
     def __init__(self, strategy: str, params: Parameters, cfg: ModelConfig):
-        if strategy not in STRATEGIES:
-            raise ConfigError("unknown strategy %r, expected one of %s"
-                              % (strategy, ", ".join(STRATEGIES)))
-        if strategy == "blstm-reencode" and not cfg.bidirectional:
-            raise ConfigError("blstm-reencode needs a bidirectional model")
-        if strategy != "blstm-reencode" and cfg.bidirectional:
-            raise ConfigError("%s needs a unidirectional model" % strategy)
+        check_strategy(strategy, cfg)
         self.strategy = strategy
         self.params = params
         self.cfg = cfg

@@ -11,6 +11,7 @@ the furthest aligned source position minus the evenly-paced diagonal.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 from collections import Counter
@@ -20,18 +21,24 @@ from .errors import ConfigError
 
 logger = logging.getLogger(__name__)
 
-TRADEOFF_COLUMNS = ["strategy", "k", "s", "N", "segmentation",
-                    "BLEU", "AL_ms", "frames_processed", "wall_ns"]
+# One simulation configuration: its fields and their types, in column order.
+CONFIG_FIELDS = (("strategy", str), ("k", int), ("s", int), ("N", int), ("segmentation", str))
+
+TRADEOFF_COLUMNS = [key for key, _ in CONFIG_FIELDS] + ["BLEU", "AL_ms", "frames_processed",
+                                                        "wall_ns"]
 
 BLEU_ORDER = 4
+TOKENIZE_MODES = ("word", "char")
+
+
+def check_tokenize(mode, where: str = "tokenize mode") -> None:
+    if mode not in TOKENIZE_MODES:
+        raise ConfigError("%s must be 'word' or 'char', got %r" % (where, mode))
 
 
 def _tokens(text: str, mode: str) -> list:
-    if mode == "word":
-        return text.split()
-    if mode == "char":
-        return list(text)
-    raise ConfigError("tokenize mode must be 'word' or 'char', got %r" % (mode,))
+    check_tokenize(mode)
+    return text.split() if mode == "word" else list(text)
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +197,7 @@ def extract_subsets(scores: list, n: int):
 
 @dataclass
 class TradeoffRow:
-    strategy: str
-    k: int
-    s: int
-    n_tokens: int
-    segmentation: str
+    config: dict             # the CONFIG_FIELDS the row was computed for
     bleu: float
     al_ms: float
     frames_processed: float  # mean per utterance
@@ -204,9 +207,9 @@ class TradeoffRow:
 def tradeoff_table(results: list, references: dict, tokenize: str = "word") -> list:
     """Aggregate one row per configuration.
 
-    results holds (config, traces) pairs, where config carries strategy, k,
-    s, N and segmentation labels, and traces are per-utterance DecodeTraces.
-    Utterances without a reference are skipped with a warning.
+    results holds (config, traces) pairs, where traces are per-utterance
+    DecodeTraces; each row keeps its config as given.  Utterances without a
+    reference are skipped with a warning.
     """
     rows = []
     for config, traces in results:
@@ -229,16 +232,18 @@ def tradeoff_table(results: list, references: dict, tokenize: str = "word") -> l
         if not hyps:
             logger.warning("configuration %r matched no references", config)
             continue
-        rows.append(TradeoffRow(
-            strategy=config.get("strategy", ""),
-            k=int(config.get("k", 0)),
-            s=int(config.get("s", 0)),
-            n_tokens=int(config.get("N", 1)),
-            segmentation=str(config.get("segmentation", "fixed")),
-            bleu=bleu(hyps, refs, tokenize=tokenize),
-            al_ms=(sum(lags) / len(lags)) if lags else float("nan"),
-            frames_processed=sum(frames) / len(frames),
-            wall_ns=sum(walls) / len(walls),
-        ))
+        rows.append(TradeoffRow(config, bleu(hyps, refs, tokenize=tokenize),
+                                (sum(lags) / len(lags)) if lags else float("nan"),
+                                sum(frames) / len(frames), sum(walls) / len(walls)))
     return rows
 
+
+def write_tradeoff_csv(path, rows: list) -> None:
+    """One TRADEOFF_COLUMNS line per row."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(TRADEOFF_COLUMNS)
+        for r in rows:
+            w.writerow([r.config[key] for key, _ in CONFIG_FIELDS]
+                       + ["%.6f" % r.bleu, "%.3f" % r.al_ms, "%.1f" % r.frames_processed,
+                          "%.1f" % r.wall_ns])

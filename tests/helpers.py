@@ -31,13 +31,13 @@ def _pad(x, k, padding):
     return xp, ph, pw
 
 
-def conv2d_loop(x, k, bias=None, stride=1, padding="same"):
+def conv2d_loop(x, k, bias=None, padding="same"):
     """Scalar-loop 2-d convolution oracle over (C_in, H, W)."""
     c_in, h, w = x.shape
     c_out, _, kh, kw = k.shape
     xp, ph, pw = _pad(x, k, padding)
-    ho = (h + 2 * ph - kh) // stride + 1
-    wo = (w + 2 * pw - kw) // stride + 1
+    ho = h + 2 * ph - kh + 1
+    wo = w + 2 * pw - kw + 1
     y = np.zeros((c_out, ho, wo), dtype=x.dtype)
     for co in range(c_out):
         for oi in range(ho):
@@ -46,12 +46,12 @@ def conv2d_loop(x, k, bias=None, stride=1, padding="same"):
                 for ci in range(c_in):
                     for i in range(kh):
                         for j in range(kw):
-                            acc = acc + xp[ci, oi * stride + i, oj * stride + j] * k[co, ci, i, j]
+                            acc = acc + xp[ci, oi + i, oj + j] * k[co, ci, i, j]
                 y[co, oi, oj] = acc
     return y
 
 
-def conv2d_backward_loop(x, k, g, stride=1, padding="same"):
+def conv2d_backward_loop(x, k, g, padding="same"):
     """Per-tap loop oracle for the conv2d gradients.
 
     g is the upstream gradient of the (C_out, H', W') output.  Returns the
@@ -67,7 +67,7 @@ def conv2d_backward_loop(x, k, g, stride=1, padding="same"):
         for ci in range(c_in):
             for i in range(kh):
                 for j in range(kw):
-                    window = (ci, slice(i, i + ho * stride, stride), slice(j, j + wo * stride, stride))
+                    window = (ci, slice(i, i + ho), slice(j, j + wo))
                     dxp[window] += g[co] * k[co, ci, i, j]
                     dk[co, ci, i, j] = np.sum(g[co] * xp[window])
     return dxp[:, ph:ph + h, pw:pw + w], dk, g.sum(axis=(1, 2))

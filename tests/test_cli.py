@@ -3,13 +3,18 @@
 import csv
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamst import cli, training
 from streamst.decoder import read_traces
-from streamst.metrics import TRADEOFF_COLUMNS
+from streamst.encoding import STRATEGIES
+from streamst.metrics import CONFIG_FIELDS, TRADEOFF_COLUMNS
 from streamst.errors import ConfigError
 from streamst.model import load_checkpoint
 from streamst.synthetic import (SyntheticSpec, generate_corpus, load_corpus, save_corpus,
@@ -359,17 +364,20 @@ def test_report_rejects_a_trace_file_missing_utterances(corpus_dir, model_path,
     ({"k": None}, "sweep.json jobs[0]: k must be int, got None"),
     ({"N": "1"}, "sweep.json jobs[0]: N must be int, got '1'"),
     ({"trace": "../../x.jsonl"}, "sweep.json jobs[0]: trace '../../x.jsonl' is not a file name in"),
-], ids=["no-jobs-list", "entry-without-k", "entry-with-a-string-N", "trace-outside-the-sweep"])
+    ({"tokenize": 5}, "sweep.json: tokenize must be str, got 5"),
+    ({"tokenize": "chars"}, "sweep.json: tokenize must be 'word' or 'char', got 'chars'"),
+], ids=["no-jobs-list", "entry-without-k", "entry-with-a-string-N", "trace-outside-the-sweep",
+        "tokenize-an-int", "unknown-tokenize"])
 def test_report_rejects_a_malformed_sweep_index(corpus_dir, model_path, tmp_path, capsys,
                                                 edit, message):
     """A malformed sweep.json is a ConfigError naming it and the entry, not
     a KeyError traceback, and no trace outside the sweep directory is read.
-    edit sets keys of the first job, or of the index for "jobs"; None
-    deletes the key."""
+    edit sets keys of the first job, or of the index for "jobs" and
+    "tokenize"; None deletes the key."""
     sweep = tmp_path / "sweep"
     assert run_simulate(corpus_dir, model_path, sweep, ["--k", "8", "--s", "16"]) == 0
     index = json.loads((sweep / "sweep.json").read_text())
-    target = index if "jobs" in edit else index["jobs"][0]
+    target = index if edit.keys() & {"jobs", "tokenize"} else index["jobs"][0]
     for key, value in edit.items():
         if value is None:
             del target[key]
@@ -409,6 +417,49 @@ def test_sweep_rejects_an_unknown_strategy_or_segmentation(corpus_dir, model_pat
     with pytest.raises(ConfigError, match="sweep job 0 .* has unknown %s '%s'" % (key, value)):
         cli.run_sweep([{**job, key: value}], load_corpus(corpus_dir), params, cfg, out)
     assert not out.exists()
+
+
+MISSING = object()
+ANY_VALUE = st.one_of(st.integers(), st.booleans(), st.floats(), st.text(max_size=4),
+                      st.none(), st.just(MISSING))
+
+
+@st.composite
+def sweep_jobs(draw):
+    """One or two jobs, each a runnable configuration with any of its five
+    fields replaced by an int, bool, float, string or None, or left out."""
+    jobs = []
+    for _ in range(draw(st.integers(1, 2))):
+        job = {"strategy": draw(st.sampled_from(STRATEGIES)),
+               "segmentation": draw(st.sampled_from(cli.SEGMENTATIONS)),
+               "k": draw(st.integers(0, 40)), "s": draw(st.integers(1, 40)),
+               "N": draw(st.integers(1, 3))}
+        for key in draw(st.lists(st.sampled_from([key for key, _ in CONFIG_FIELDS]), max_size=2)):
+            job[key] = draw(ANY_VALUE)
+        jobs.append({key: value for key, value in job.items() if value is not MISSING})
+    return jobs
+
+
+@settings(max_examples=100, deadline=None)
+@given(jobs=sweep_jobs())
+def test_sweep_jobs_are_refused_or_read_back_as_written(corpus_dir, model_path, jobs):
+    """run_sweep either refuses the jobs with a ConfigError before it makes
+    the output directory, or writes a sweep whose index reads back with each
+    job's five fields, of the same types."""
+    cfg, params = load_checkpoint(model_path)
+    corpus = load_corpus(corpus_dir)
+    corpus.ids = corpus.ids[:2]
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "sweep"
+        try:
+            cli.run_sweep(jobs, corpus, params, cfg, out)
+        except ConfigError:
+            assert not out.exists()
+            return
+        _, results = cli._read_sweep(out)
+    typed = lambda config: [(key, type(config[key]), config[key])  # noqa: E731
+                            for key, _ in CONFIG_FIELDS]
+    assert [typed(config) for config, _ in results] == [typed(job) for job in jobs]
 
 
 def test_report_lags_agree_with_the_table_on_an_empty_reference(corpus_dir, model_path,

@@ -366,10 +366,17 @@ class TestTraceFiles:
          "line 2: int too large to convert to float"),
         ([R_EVENT.replace('"a"', "5"), SUMMARY.replace('"a"', "5")], "line 1: utt must be str, got 5"),
         (["[]"], "line 1: utt must be str, got None"),
+        ([R_EVENT.replace("160.0", "-160.0"), SUMMARY.replace("10.0", "-10.0")],
+         "line 2: frame_ms must be positive and finite, got -10.0"),
+        ([R_EVENT.replace("160.0", "0"), SUMMARY.replace("10.0", "0")],
+         "line 2: frame_ms must be positive and finite, got 0"),
+        ([R_EVENT.replace("160.0", "NaN"), SUMMARY.replace("10.0", "NaN")],
+         "line 2: frame_ms must be positive and finite, got nan"),
     ], ids=["summary-without-cost", "cost-not-an-object", "event-without-ms", "ms-a-string",
             "summary-without-suppressed-eos", "truncated-not-a-bool", "chunks-a-float",
             "read-time-off-its-frame", "write-at-no-read-time", "frame-ms-an-int",
-            "g-past-every-float", "utt-an-int", "line-not-an-object"])
+            "g-past-every-float", "utt-an-int", "line-not-an-object", "frame-ms-negative",
+            "frame-ms-zero", "frame-ms-nan"])
     def test_malformed_record_rejected(self, tmp_path, lines, message):
         """A record missing a field, or holding one of the wrong type, or
         lines other than the ones its record writes, is a ConfigError naming

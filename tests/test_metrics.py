@@ -8,7 +8,6 @@ import random
 import numpy as np
 import pytest
 
-from streamst import cli
 from streamst import metrics as mt
 from streamst import synthetic as sy
 from streamst.decoder import DecodeTrace
@@ -331,13 +330,14 @@ class TestTradeoffTable:
         traces = [record("u0", "a b", [100.0], 200.0)]
         results = [({"strategy": "s%d" % i, "k": i}, traces) for i in range(8)]
         rows = mt.tradeoff_table(results, refs)
-        assert [r.strategy for r in rows] == ["s%d" % i for i in range(8)]
+        assert [r.config["strategy"] for r in rows] == ["s%d" % i for i in range(8)]
 
     def test_csv_layout(self, tmp_path):
-        rows = [mt.TradeoffRow("ulstm-overlap", 100, 10, 1, "fixed",
-                               0.25, 512.5, 2995.0, 123456.0)]
+        config = {"strategy": "ulstm-overlap", "k": 100, "s": 10, "N": 1,
+                  "segmentation": "fixed"}
+        rows = [mt.TradeoffRow(config, 0.25, 512.5, 2995.0, 123456.0)]
         path = tmp_path / "table.csv"
-        cli.write_tradeoff_csv(path, rows)
+        mt.write_tradeoff_csv(path, rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "strategy,k,s,N,segmentation,BLEU,AL_ms,frames_processed,wall_ns"
         assert lines[1] == "ulstm-overlap,100,10,1,fixed,0.250000,512.500,2995.0,123456.0"

@@ -8,10 +8,14 @@ from pathlib import Path
 
 import numpy as np
 
+from streamst import cli
 from streamst import decoder as dec
 from streamst import model as md
 from streamst.encoding import STRATEGIES
 from streamst.segmentation import fixed_plan
+from streamst.synthetic import SyntheticSpec, generate_corpus
+
+import helpers
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,3 +52,29 @@ def test_recorder_hooks_see_encoder_and_decoder_calls():
     for strategy in STRATEGIES:
         assert rec.counter("model.encoder_forward.positions", strategy) > 0, strategy
         assert rec.n_calls("model.decode_step", strategy) > 0, strategy
+
+
+def test_recorder_hooks_see_a_sweep(tmp_path):
+    """The sweep workload's figures come from hooks on the names cli calls:
+    run_sweep, the three plan builders, simulate, write_traces and
+    tradeoff_table."""
+    spec = SyntheticSpec(frames_per_symbol=4, feat_dim=6)
+    corpus = helpers.as_loaded(generate_corpus(spec, 3, 4, 6, seed=1))
+    cfg = md.ModelConfig(feat_dim=6, vgg_channels=(2, 2), enc_layers=1, hidden=4, attn_dim=4,
+                         embed_dim=4, vocab=spec.target_vocab)
+    jobs = [{"strategy": "ulstm-overlap", "segmentation": seg, "k": k, "s": s, "N": 1}
+            for seg, k, s in (("fixed", 8, 8), ("words", 0, 0), ("random", 4, 8))]
+    rec = load_tracing().Recorder()
+    try:
+        rec.install()
+        cli.run_sweep(jobs, corpus, md.create_parameters(cfg, seed=0), cfg, tmp_path)
+    finally:
+        rec.unpatch()
+    assert cli.run_sweep.__module__ == "streamst.cli"  # the patches are gone
+    assert rec.n_calls("cli.run_sweep") == 1
+    assert rec.n_calls("segmentation.plan") == len(jobs) * len(corpus.ids)
+    assert rec.counter("segmentation.reads") > 0
+    assert rec.n_calls("cli.write_traces") == len(jobs)
+    assert rec.counter("cli.trace_bytes") > 0
+    assert rec.n_calls("metrics.tradeoff_table") == 1
+    assert rec.n_calls("decoder.simulate", "ulstm-overlap") == len(jobs) * len(corpus.ids)
