@@ -78,8 +78,8 @@ def _cmd_generate(args) -> int:
 
 def _examples_of(corpus) -> list:
     """Training examples; an utterance is reversed-order when its word
-    alignment has a pair off the diagonal."""
-    reordered = {a.utt_id for a in corpus.alignments if any(i != t for i, t in a.pairs)}
+    alignment is reordered."""
+    reordered = {a.utt_id for a in corpus.alignments if a.reordered}
     return [_Example(i, corpus.features[i], corpus.targets[i], i in reordered)
             for i in corpus.ids]
 
@@ -198,9 +198,10 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
     rebuilds the rows from the files.  Simulations parallelize across
     processes when workers > 1; results keep job and corpus order either
     way.  Nothing is written unless each job holds the CONFIG_FIELDS with
-    their types, a known segmentation, a strategy the model runs and a
-    configuration no other job has (both would write one trace file), every
-    plan can be built, and frame_ms and tokenize are valid.
+    their types, a known segmentation (s = 0 for words), a strategy the
+    model runs, N >= 1 and a configuration no other job has (both would
+    write one trace file), every plan can be built, and frame_ms and
+    tokenize are valid.
     """
     check_frame_ms(frame_ms)
     check_tokenize(tokenize)
@@ -211,6 +212,9 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
             if config[key] not in known:
                 raise ConfigError("sweep job %d %r has unknown %s %r; known: %s"
                                   % (j, config, key, config[key], ", ".join(known)))
+        if config["segmentation"] == "words" and config["s"] != 0:
+            raise ConfigError("sweep job %d %r: word segmentation reads no stride, s must be 0"
+                              % (j, config))
         if names[j] in names[:j]:
             raise ConfigError("sweep lists the configuration %s twice" % (_LABEL % config))
         check_strategy(config["strategy"], cfg)

@@ -39,6 +39,10 @@ class DecodePolicy:
     max_target_factor: float = 3.0  # length cap as a multiple of encoder positions
     max_target_slack: int = 10   # constant headroom on top of the cap
 
+    def __post_init__(self):
+        if self.write_tokens < 1:
+            raise ConfigError("write_tokens must be at least 1, got %r" % (self.write_tokens,))
+
     def cap(self, positions: int) -> int:
         return int(self.max_target_factor * positions) + self.max_target_slack
 
@@ -196,7 +200,6 @@ def read_traces(path) -> list:
     reproduces the file."""
     out = []
     current, lines, reads, tokens, delays = None, [], [], [], []  # the open utterance
-    read_ms = None
     for lineno, line in enumerate(read_text(path).split("\n"), 1):
         line = line.strip()
         if not line:
@@ -214,10 +217,9 @@ def read_traces(path) -> list:
             ms = typed_field(obj, "ms", (int, float), where)
             if obj["event"] == "R":
                 reads.append(typed_field(obj, "g", (int,), where))
-                read_ms = ms
             else:
                 tokens.append(typed_field(obj, "token", (str,), where))
-                delays.append(read_ms if ms == read_ms else ms)  # one float per read held
+                delays.append(ms)
         elif "hyp" in obj:
             cost = typed_field(obj, "cost", (dict,), where)
             frame_ms = typed_field(obj, "frame_ms", (int, float), where)

@@ -98,14 +98,6 @@ class EncoderStream:
         self._wall_ns = 0
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def frames_buffered(self) -> int:
-        return self._fed
-
-    @property
     def positions(self) -> int:
         return 0 if self._outputs is None else self._outputs.shape[0]
 
@@ -124,10 +116,10 @@ class EncoderStream:
 
         Returns the updated outputs.  Chunks shorter than the front end
         window are buffered until enough frames arrive; a final chunk that
-        stays shorter is dropped.  A feed without frames encodes nothing,
-        except that an empty final feed to an overlap stream encodes the
-        positions its last chunk discarded, and that chunk's record then
-        counts them as kept.
+        stays shorter is dropped.  A feed without frames encodes nothing.  A
+        final feed that encodes no chunk of its own, empty or too short,
+        makes an overlap stream encode the positions its last chunk
+        discarded, and that chunk's record then counts them as kept.
         """
         if self._closed:
             raise StreamClosedError("stream already received its final chunk")
@@ -153,15 +145,15 @@ class EncoderStream:
     def _encode(self) -> None:
         g = self._fed
         new = g - self._encoded_to
-        if new <= 0:
+        chunk = self._buffer[self._offset:g]
+        if new <= 0 or len(chunk) < MIN_CHUNK_FRAMES:
+            # wait for more frames; at the close, a chunk this short is
+            # dropped and the positions the last chunk held back are kept
             if self._closed and self._tail is not None:
                 self._encode_rows(self._tail)
                 last = self.chunk_log[-1]
                 self.chunk_log[-1] = ChunkRecord(last.start, last.length, last.kept + last.discarded, 0)
             return
-        chunk = self._buffer[self._offset:g]
-        if len(chunk) < MIN_CHUNK_FRAMES:
-            return  # wait for more frames; a closing tail this short is dropped
         if self.strategy == "ulstm-overlap":
             reach, replace = _half(new), False
         else:

@@ -151,6 +151,11 @@ class AlignmentSet:
                 raise ConfigError("pair (%d, %d) outside %dx%d for %r"
                                   % (i, t, self.src_len, self.tgt_len, self.utt_id))
 
+    @property
+    def reordered(self) -> bool:
+        """Some pair lies off the diagonal: the target reorders the source."""
+        return any(i != t for i, t in self.pairs)
+
 
 @dataclass(frozen=True)
 class DifficultyScore:

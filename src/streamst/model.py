@@ -121,9 +121,6 @@ class Parameters:
     def __iter__(self):
         return iter(self._named)
 
-    def __len__(self) -> int:
-        return len(self._named)
-
     def zero_grads(self) -> None:
         for _, t in self._named:
             t.zero_grad()
@@ -216,14 +213,6 @@ def _weights(params: Parameters, prefix: str):
     return params[prefix + "_wx"], params[prefix + "_wh"], params[prefix + "_b"]
 
 
-def lstm_layer(x: ad.Tensor, state, wx: ad.Tensor, wh: ad.Tensor, b: ad.Tensor,
-               reverse: bool = False):
-    """Run one LSTM over the (T, F) rows of x from the (h, c) pair state;
-    returns the (T, H) hidden rows in input order and the final pair."""
-    hs, h, c = ad.lstm(x, *state, wx, wh, b, reverse=reverse)
-    return hs, (h, c)
-
-
 def encoder_forward(feats: ad.Tensor, params: Parameters, cfg: ModelConfig,
                     init: list | None = None):
     """Run the stacked encoder over (P, F) position features.
@@ -241,10 +230,10 @@ def encoder_forward(feats: ad.Tensor, params: Parameters, cfg: ModelConfig,
     out, final = feats, []
     for layer in range(cfg.enc_layers):
         state = init[layer] if init is not None else zero_state(cfg.hidden, feats.dtype)
-        fwd, state = lstm_layer(out, state, *_weights(params, "enc%d_fwd" % layer))
-        final.append(state)
+        fwd, h, c = ad.lstm(out, *state, *_weights(params, "enc%d_fwd" % layer))
+        final.append((h, c))
         if cfg.bidirectional:
-            bwd, _ = lstm_layer(out, zero_state(cfg.hidden, feats.dtype),
+            bwd, _, _ = ad.lstm(out, *zero_state(cfg.hidden, feats.dtype),
                                 *_weights(params, "enc%d_bwd" % layer), reverse=True)
             fwd = ad.concat_last(fwd, bwd)
         out = fwd
@@ -283,10 +272,10 @@ def decode_step(prev_token: int, state: list, enc_outputs: ad.Tensor,
     attn = ad.softmax(ad.transpose(scores))       # (1, P)
     context = ad.matmul(attn, enc_outputs)        # (1, enc_out)
     x = ad.concat_last(emb, context)
-    h0, s0 = lstm_layer(x, state[0], *_weights(params, "dec0"))
-    h1, s1 = lstm_layer(h0, state[1], *_weights(params, "dec1"))
-    logits = ad.add(ad.matmul(ad.concat_last(h1, context), params["out_w"]), params["out_b"])
-    return logits, [s0, s1], attn
+    hs0, h0, c0 = ad.lstm(x, *state[0], *_weights(params, "dec0"))
+    hs1, h1, c1 = ad.lstm(hs0, *state[1], *_weights(params, "dec1"))
+    logits = ad.add(ad.matmul(ad.concat_last(hs1, context), params["out_w"]), params["out_b"])
+    return logits, [(h0, c0), (h1, c1)], attn
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class WordSpan:
-    """A word's frame extent; the text may be empty when loaded from disk."""
+    """A word's frame extent."""
 
-    word: str
     start: int
     end: int
 

@@ -75,7 +75,10 @@ class Utterance:
     frames: np.ndarray                 # (T, feat_dim) float32
     words: list                        # WordSpans tiling the frame axis
     alignment: AlignmentSet            # word-level, 1-based
-    reversed_order: bool = False
+
+    @property
+    def reversed_order(self) -> bool:
+        return self.alignment.reordered
 
     @property
     def n_frames(self) -> int:
@@ -147,7 +150,7 @@ def generate_corpus(spec: SyntheticSpec, n_utts: int, min_len: int, max_len: int
         for j, w in enumerate(words_text):
             start = pos * fps
             pos += len(w) + (1 if j < n_words - 1 else 0)
-            spans.append(WordSpan(w, start, pos * fps))
+            spans.append(WordSpan(start, pos * fps))
         t_len = len(source) * fps
         frames = np.empty((t_len, spec.feat_dim), dtype=np.float32)
         for p, ch in enumerate(source):
@@ -161,8 +164,7 @@ def generate_corpus(spec: SyntheticSpec, n_utts: int, min_len: int, max_len: int
         corpus.append(Utterance(
             utt_id=utt_id, source=source, target=target, frames=frames,
             words=spans,
-            alignment=AlignmentSet(utt_id, n_words, n_words, frozenset(pairs)),
-            reversed_order=reverse))
+            alignment=AlignmentSet(utt_id, n_words, n_words, frozenset(pairs))))
     return corpus
 
 
@@ -222,7 +224,7 @@ class LoadedCorpus:
     features: dict       # utt_id -> (T, D) array
     sources: dict        # utt_id -> text
     targets: dict        # utt_id -> text
-    word_spans: dict     # utt_id -> list of WordSpan (no text)
+    word_spans: dict     # utt_id -> list of WordSpan
     alignments: list = field(default_factory=list)
 
 
@@ -276,7 +278,7 @@ def read_rows(path, parse=str) -> dict:
 
 def save_word_boundaries(path, table: dict) -> None:
     """Write each utterance's word extents as start:end cells joined by
-    commas.  Word text is not stored; an utterance may have no spans."""
+    commas; an utterance may have no spans."""
     write_rows(path, ((utt_id, ",".join("%d:%d" % (sp.start, sp.end) for sp in spans))
                       for utt_id, spans in table.items()))
 
@@ -285,12 +287,12 @@ def _spans(cell: str) -> list:
     spans = []
     for extent in cell.split(",") if cell else ():
         start, end = extent.split(":")
-        spans.append(WordSpan("", int(start), int(end)))
+        spans.append(WordSpan(int(start), int(end)))
     return spans
 
 
 def load_word_boundaries(path) -> dict:
-    """Read word extents; spans come back with empty word text."""
+    """Read word extents."""
     return read_rows(path, _spans)
 
 
@@ -321,10 +323,18 @@ def load_alignments(path, ids: list, src_lens: list, tgt_lens: list) -> list:
 
 
 def save_corpus(out_dir, corpus: list) -> None:
-    """Write features, texts, word boundaries, and alignments.  Every id and
-    text is checked first, so a rejected corpus writes no file."""
+    """Write features, texts, word boundaries, and alignments.  Every id,
+    text and alignment (whose sides are its texts' word counts, as
+    load_corpus reads them) is checked first, so a rejected corpus writes
+    no file."""
     sources = _checked((u.utt_id, u.source) for u in corpus)
     targets = _checked((u.utt_id, u.target) for u in corpus)
+    for u in corpus:
+        sides = (u.alignment.src_len, u.alignment.tgt_len)
+        words = (len(u.source.split()), len(u.target.split()))
+        if sides != words:
+            raise ConfigError("utterance %r: alignment is %dx%d, its texts have %dx%d words"
+                              % (u.utt_id, *sides, *words))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_features(out / "features.simf", [(u.utt_id, u.frames) for u in corpus])

@@ -196,15 +196,17 @@ def lstm_step(x, state, wx, wh, b):
     return h, c
 
 
-def lstm_layer_steps(x, state, wx, wh, b, reverse=False):
-    """lstm_step over the rows of the (T, F) Tensor x; returns the hidden
-    rows stacked in input order and the final pair."""
+def lstm_layer_steps(x, h0, c0, wx, wh, b, reverse=False):
+    """lstm_step over the rows of the (T, F) Tensor x, called as
+    autodiff.lstm is; returns the hidden rows stacked in input order and
+    the final h and c."""
     order = range(x.shape[0] - 1, -1, -1) if reverse else range(x.shape[0])
     outs = [None] * x.shape[0]
+    state = (h0, c0)
     for t in order:
         state = lstm_step(ad.row(x, t), state, wx, wh, b)
         outs[t] = state[0]
-    return ad.stack_rows(outs), state
+    return (ad.stack_rows(outs), *state)
 
 
 def maxpool2d_loop(x, pool=2):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamst import cli, training
@@ -219,6 +219,17 @@ def test_simulate_rejects_a_configuration_listed_twice(corpus_dir, model_path, t
     assert not out.exists()
 
 
+def test_simulate_refuses_fewer_than_one_write_token(corpus_dir, model_path, tmp_path,
+                                                      capsys):
+    """N = 0 would write nothing before the last read, under a label that
+    says otherwise."""
+    out = tmp_path / "sweep"
+    assert run_simulate(corpus_dir, model_path, out, ["--write-tokens", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: write_tokens must be at least 1, got 0"]
+    assert not out.exists()
+
+
 def test_simulate_runs_are_reproducible_across_workers(corpus_dir, model_path,
                                                        tmp_path):
     outs = []
@@ -419,6 +430,27 @@ def test_sweep_rejects_an_unknown_strategy_or_segmentation(corpus_dir, model_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("last, error", [
+    ({"N": 0}, "write_tokens must be at least 1, got 0"),
+    ({"N": -3}, "write_tokens must be at least 1, got -3"),
+    ({"s": 7}, "sweep job 1 .*'s': 7.*s must be 0"),
+], ids=["N0", "N-3", "words-s7"])
+def test_sweep_refuses_a_job_that_misreports_its_configuration(corpus_dir, model_path,
+                                                               tmp_path, monkeypatch,
+                                                               last, error):
+    """N < 1 writes nothing before the last read under a label that says it
+    does; word plans read no stride, so s = 7 would run the s = 0 job again
+    under another trace name.  Either is refused before any file is
+    written."""
+    cfg, params = load_checkpoint(model_path)
+    monkeypatch.setattr(cli, "simulate", None)
+    out = tmp_path / "sweep"
+    first = {"strategy": "ulstm-reencode", "segmentation": "words", "k": 0, "s": 0, "N": 1}
+    with pytest.raises(ConfigError, match=error):
+        cli.run_sweep([first, {**first, **last}], load_corpus(corpus_dir), params, cfg, out)
+    assert not out.exists()
+
+
 MISSING = object()
 ANY_VALUE = st.one_of(st.integers(), st.booleans(), st.floats(), st.text(max_size=4),
                       st.none(), st.just(MISSING))
@@ -430,9 +462,10 @@ def sweep_jobs(draw):
     fields replaced by an int, bool, float, string or None, or left out."""
     jobs = []
     for _ in range(draw(st.integers(1, 2))):
-        job = {"strategy": draw(st.sampled_from(STRATEGIES)),
-               "segmentation": draw(st.sampled_from(cli.SEGMENTATIONS)),
-               "k": draw(st.integers(0, 40)), "s": draw(st.integers(1, 40)),
+        segmentation = draw(st.sampled_from(cli.SEGMENTATIONS))
+        job = {"strategy": draw(st.sampled_from(STRATEGIES)), "segmentation": segmentation,
+               "k": draw(st.integers(0, 40)),
+               "s": 0 if segmentation == "words" else draw(st.integers(1, 40)),
                "N": draw(st.integers(1, 3))}
         for key in draw(st.lists(st.sampled_from([key for key, _ in CONFIG_FIELDS]), max_size=2)):
             job[key] = draw(ANY_VALUE)
@@ -442,6 +475,7 @@ def sweep_jobs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(jobs=sweep_jobs())
+@example(jobs=[{"strategy": "ulstm-overlap", "segmentation": "random", "k": 1, "s": 4, "N": 1}])
 def test_sweep_jobs_are_refused_or_read_back_as_written(corpus_dir, model_path, jobs):
     """run_sweep either refuses the jobs with a ConfigError before it makes
     the output directory, or writes a sweep whose index reads back with each

@@ -61,9 +61,9 @@ def check_trace_shape(trace, plan, n_tokens_per_write):
     assert trace.duration_ms == plan.total_frames * trace.frame_ms
     assert len(trace.tokens) == len(trace.delays_ms)
     assert trace.delays_ms == sorted(trace.delays_ms)
-    read_ms = [g * trace.frame_ms for g in trace.reads]
-    assert set(trace.delays_ms) <= set(read_ms)
-    for ms in read_ms[:-1]:
+    read_times = [g * trace.frame_ms for g in trace.reads]
+    assert set(trace.delays_ms) <= set(read_times)
+    for ms in read_times[:-1]:
         assert trace.delays_ms.count(ms) <= n_tokens_per_write
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streamst import encoding as enc
 from streamst import model as md
@@ -203,7 +203,8 @@ class TestOverlap:
         plan = fixed_plan(23, k=5, s=2)
         st = run_plan(enc.EncoderStream("ulstm-overlap", uni_params, uni_cfg),
                       frames, plan)
-        assert st.closed
+        with pytest.raises(StreamClosedError):
+            st.feed(frames[:0])
         assert st.positions >= 1
         for rec in st.chunk_log:
             assert rec.length >= enc.MIN_CHUNK_FRAMES
@@ -226,6 +227,7 @@ class TestArbitraryFeeds:
     @settings(max_examples=100, deadline=None)
     @given(t_len=st.integers(0, 200), cuts=st.lists(st.integers(0, 200), max_size=12),
            empty_close=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @example(t_len=5, cuts=[4], empty_close=False, seed=0)
     def test_stream_invariants(self, uni_params, uni_cfg, bi_params, bi_cfg,
                                t_len, cuts, empty_close, seed):
         """Any split of T frames into feeds, empty and sub-window ones
@@ -245,7 +247,6 @@ class TestArbitraryFeeds:
             for s in streams.values():
                 before = (s.outputs, s.cost().frames_processed, len(s.chunk_log))
                 s.feed(frames[a:b], is_last=is_last)
-                assert s.frames_buffered == b
                 if a == b and not is_last:
                     assert (s.outputs, s.cost().frames_processed, len(s.chunk_log)) == before
             out = streams["ulstm-reencode"].outputs
@@ -268,6 +269,7 @@ class TestArbitraryFeeds:
         for name, s in streams.items():
             per_frame = 2 if name == "blstm-reencode" else 1
             assert s.cost().frames_processed == per_frame * sum(r.length for r in s.chunk_log)
+            assert (s.outputs is None) == (t_len < enc.MIN_CHUNK_FRAMES), name
 
 
 class TestClosedStream:
@@ -292,8 +294,6 @@ class TestClosedStream:
         bounds = np.cumsum((0,) + splits)
         for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             s.feed(frames[a:b], is_last=(i == len(splits) - 1))
-        assert s.closed
-        assert s.frames_buffered == sum(splits)
         assert s._buffer is None and s._tail is None
         if strategy == "ulstm-reencode" and sum(splits) >= enc.MIN_CHUNK_FRAMES:
             assert np.array_equal(s.outputs.data,
@@ -305,18 +305,19 @@ class TestClosedStream:
             with pytest.raises(StreamClosedError):
                 s.feed(more, is_last=True)
         assert self.snapshot(s) == before
-        assert s.frames_buffered == sum(splits)
 
     def test_short_closing_chunk_dropped(self, uni_params, uni_cfg):
-        """An overlap chunk of 3 frames at close encodes nothing, yet its
-        frame still counts as buffered."""
+        """An overlap chunk of 3 frames at close encodes none of its frames;
+        the stream keeps the position its first chunk held back, as an
+        empty close keeps it."""
         frames = utterance(5, uni_cfg.feat_dim, seed=24)
-        s = enc.EncoderStream("ulstm-overlap", uni_params, uni_cfg)
-        s.feed(frames[:4])
-        before = self.snapshot(s)
-        s.feed(frames[4:], is_last=True)
-        assert self.snapshot(s)[:2] == before[:2]
-        assert s.frames_buffered == 5
+        short, empty = (enc.EncoderStream("ulstm-overlap", uni_params, uni_cfg)
+                        for _ in range(2))
+        for s, last in ((short, frames[4:]), (empty, frames[4:4])):
+            s.feed(frames[:4])
+            s.feed(last, is_last=True)
+        assert short.chunk_log == [enc.ChunkRecord(0, 4, 1, 0)]
+        assert self.snapshot(short)[:2] == self.snapshot(empty)[:2]
 
     def test_empty_close_of_overlap_stream(self, uni_params, uni_cfg):
         """The empty close encodes the discarded tail, then drops it with
@@ -329,7 +330,6 @@ class TestClosedStream:
         assert s.chunk_log == [enc.ChunkRecord(0, 40, 10, 0)]
         assert np.array_equal(s.outputs.data,
                               md.encode_utterance(frames, uni_params, uni_cfg).data)
-        assert s.frames_buffered == 40
         assert s._buffer is None and s._tail is None
         before = self.snapshot(s)
         with pytest.raises(StreamClosedError):

@@ -89,7 +89,7 @@ class TestLstmStep:
         wx = ad.Tensor(np.zeros((3, 4 * h), np.float32))
         wh = ad.Tensor(np.zeros((h, 4 * h), np.float32))
         b = ad.Tensor(np.zeros(4 * h, np.float32))
-        nh, (_, nc) = md.lstm_layer(ad.Tensor(np.ones((1, 3), np.float32)), zeros, wx, wh, b)
+        nh, _, nc = ad.lstm(ad.Tensor(np.ones((1, 3), np.float32)), *zeros, wx, wh, b)
         np.testing.assert_array_equal(nh.data, 0)
         np.testing.assert_array_equal(nc.data, 0)
 
@@ -103,8 +103,8 @@ class TestLstmStep:
         bias = np.zeros(4 * h, np.float32)
         bias[0:h] = -1000.0   # input gate shut
         bias[h:2 * h] = 1000.0  # forget gate wide open
-        _, (_, nc) = md.lstm_layer(ad.Tensor(np.zeros((1, 2), np.float32)), state,
-                                   wx, wh, ad.Tensor(bias))
+        _, _, nc = ad.lstm(ad.Tensor(np.zeros((1, 2), np.float32)), *state,
+                           wx, wh, ad.Tensor(bias))
         np.testing.assert_array_equal(nc.data, c0)
 
     def test_matches_scalar_reference(self):
@@ -131,8 +131,8 @@ class TestLstmStep:
             want_c.append(c)
             want_h.append(sig(go) * math.tanh(c))
 
-        nh, (_, nc) = md.lstm_layer(ad.Tensor(x), (ad.Tensor(h0), ad.Tensor(c0)),
-                                    ad.Tensor(wx), ad.Tensor(wh), ad.Tensor(b))
+        nh, _, nc = ad.lstm(ad.Tensor(x), ad.Tensor(h0), ad.Tensor(c0),
+                            ad.Tensor(wx), ad.Tensor(wh), ad.Tensor(b))
         np.testing.assert_allclose(nh.data[0], want_h, rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(nc.data[0], want_c, rtol=1e-5, atol=1e-6)
 
@@ -157,10 +157,10 @@ class TestFusedGates:
                      for n in (d, hidden, hidden))
         wx = scale * rng.standard_normal((d, 4 * hidden)).astype(dtype)
         wh = scale * rng.standard_normal((hidden, 4 * hidden)).astype(dtype)
-        nh, (_, nc) = md.lstm_layer(ad.Tensor(x, dtype=dtype),
-                                    (ad.Tensor(h0, dtype=dtype), ad.Tensor(c0, dtype=dtype)),
-                                    ad.Tensor(wx, dtype=dtype), ad.Tensor(wh, dtype=dtype),
-                                    ad.Tensor(b, dtype=dtype))
+        nh, _, nc = ad.lstm(ad.Tensor(x, dtype=dtype),
+                            ad.Tensor(h0, dtype=dtype), ad.Tensor(c0, dtype=dtype),
+                            ad.Tensor(wx, dtype=dtype), ad.Tensor(wh, dtype=dtype),
+                            ad.Tensor(b, dtype=dtype))
         want_h, want_c = helpers.lstm_step_loop(x, h0, c0, wx, wh, b)
         assert nh.data.dtype == nc.data.dtype == dtype
         assert nh.data.tobytes() == want_h.tobytes()
@@ -176,7 +176,7 @@ class TestFusedGates:
             for reverse in (False, True):
                 x = ad.Tensor(rng.uniform(-1, 1, (t_len, d)).astype(np.float32))
                 with ad.Tape() as tape:
-                    hs, (nh, nc) = md.lstm_layer(x, md.zero_state(h), wx, wh, b, reverse=reverse)
+                    hs, nh, nc = ad.lstm(x, *md.zero_state(h), wx, wh, b, reverse=reverse)
                 assert len(tape) == 1 and tape.ops[0][0] is hs
                 assert hs.shape == (t_len, h) and nh.requires_grad and nc.requires_grad
 
@@ -187,7 +187,7 @@ class TestFusedGates:
                   for s in ((1, d), (1, h), (1, h), (d, 4 * h), (h, 4 * h), (4 * h,))]
 
         def build(ts):
-            _, (nh, nc) = md.lstm_layer(ts[0], (ts[1], ts[2]), ts[3], ts[4], ts[5])
+            _, nh, nc = ad.lstm(*ts)
             return ad.sum_all(ad.add(ad.tanh(nh), ad.mul(nc, nc)))
 
         bad = helpers.fd_gradcheck(build, arrays)
@@ -213,10 +213,10 @@ class TestLstmLayer:
         h, c = (rng.standard_normal((1, hidden)).astype(dtype) for _ in range(2))
         wx = scale * rng.standard_normal((d, 4 * hidden)).astype(dtype)
         wh = scale * rng.standard_normal((hidden, 4 * hidden)).astype(dtype)
-        hs, (nh, nc) = md.lstm_layer(ad.Tensor(x, dtype=dtype),
-                                     (ad.Tensor(h, dtype=dtype), ad.Tensor(c, dtype=dtype)),
-                                     ad.Tensor(wx, dtype=dtype), ad.Tensor(wh, dtype=dtype),
-                                     ad.Tensor(b, dtype=dtype), reverse=reverse)
+        hs, nh, nc = ad.lstm(ad.Tensor(x, dtype=dtype),
+                             ad.Tensor(h, dtype=dtype), ad.Tensor(c, dtype=dtype),
+                             ad.Tensor(wx, dtype=dtype), ad.Tensor(wh, dtype=dtype),
+                             ad.Tensor(b, dtype=dtype), reverse=reverse)
         want = np.empty((t_len, hidden), dtype=dtype)
         for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
             h, c = helpers.lstm_step_loop(x[t:t + 1].copy(), h, c, wx, wh, b)
@@ -242,9 +242,8 @@ class TestLstmLayer:
                   for s in ((t_len, d), (1, hidden), (1, hidden), (d, 4 * hidden),
                             (hidden, 4 * hidden))] + [b]
         ts = [ad.Tensor(a, dtype=dtype) for a in arrays]
-        hs, (h, c) = md.lstm_layer(ts[0], (ts[1], ts[2]), *ts[3:], reverse=reverse)
-        want_hs, (want_h, want_c) = helpers.lstm_layer_steps(ts[0], (ts[1], ts[2]), *ts[3:],
-                                                             reverse=reverse)
+        hs, h, c = ad.lstm(*ts, reverse=reverse)
+        want_hs, want_h, want_c = helpers.lstm_layer_steps(*ts, reverse=reverse)
         for got, want in ((hs, want_hs), (h, want_h), (c, want_c)):
             assert got.data.dtype == want.data.dtype == dtype
             assert got.data.tobytes() == want.data.tobytes()
@@ -266,11 +265,11 @@ class TestLstmLayer:
                         for s in ((t_len, d), (d, 4 * hidden), (hidden, 4 * hidden),
                                   (4 * hidden,)))
         state = tuple(ad.Tensor(rng.uniform(-1, 1, (1, hidden)), dtype=dtype) for _ in range(2))
-        hs, (h, c) = md.lstm_layer(x, state, wx, wh, b, reverse=reverse)
+        hs, h, c = ad.lstm(x, *state, wx, wh, b, reverse=reverse)
         chunks = [ad.Tensor(part, dtype=dtype) for part in np.split(x.data, cuts)]
         outs = []
         for chunk in (chunks[::-1] if reverse else chunks):
-            part, state = md.lstm_layer(chunk, state, wx, wh, b, reverse=reverse)
+            part, *state = ad.lstm(chunk, *state, wx, wh, b, reverse=reverse)
             outs.append(part.data)
         joined = np.concatenate(outs[::-1] if reverse else outs)
         assert joined.tobytes() == hs.data.tobytes()
@@ -294,14 +293,14 @@ class TestLstmLayer:
         def grads(layer):
             ts = [ad.Tensor(a, requires_grad=True) for a in arrays]
             with ad.Tape() as tape:
-                hs, (h, c) = layer(ts[0], (ts[1], ts[2]), *ts[3:], reverse=reverse)
+                hs, h, c = layer(*ts, reverse=reverse)
                 loss = ad.sum_all(ad.add(ad.add(ad.mul(ad.tanh(hs), weights[0]),
                                                 ad.mul(h, weights[1])),
                                          ad.mul(c, weights[2])))
             ad.backward(tape, loss)
             return [t.grad for t in ts]
 
-        for got, want in zip(grads(md.lstm_layer), grads(helpers.lstm_layer_steps)):
+        for got, want in zip(grads(ad.lstm), grads(helpers.lstm_layer_steps)):
             tol = 1e-5 * max(1.0, float(np.abs(want).max()))
             np.testing.assert_allclose(got, want, rtol=1e-4, atol=tol)
 
@@ -312,7 +311,7 @@ class TestLstmLayer:
         ts = [ad.Tensor(rng.uniform(-1, 1, s).astype(np.float32), requires_grad=True)
               for s in ((3, 2), (1, 4), (1, 4), (2, 16), (4, 16), (16,))]
         with ad.Tape() as tape:
-            _, (_, c) = md.lstm_layer(ts[0], (ts[1], ts[2]), *ts[3:])
+            _, _, c = ad.lstm(*ts)
             loss = ad.sum_all(c)
         ad.backward(tape, loss)
         assert all(t.grad is not None and np.any(t.grad != 0) for t in ts)
@@ -323,9 +322,9 @@ class TestLstmLayer:
         x, h = ad.Tensor(np.zeros((3, 2), np.float32)), ad.Tensor(np.zeros((1, 4), np.float32))
         for c in (ad.Tensor(np.zeros((1, 1), np.float32)), ad.Tensor(np.zeros((1, 4, 1), np.float32))):
             with pytest.raises(ShapeError):
-                md.lstm_layer(x, (h, c), wx, wh, b)
+                ad.lstm(x, h, c, wx, wh, b)
         with pytest.raises(ShapeError):
-            md.lstm_layer(ad.Tensor(np.zeros((0, 2), np.float32)), (h, h), wx, wh, b)
+            ad.lstm(ad.Tensor(np.zeros((0, 2), np.float32)), h, h, wx, wh, b)
 
     @pytest.mark.parametrize("x_dtype,w_dtype", [(np.float64, np.float32),
                                                  (np.float32, np.float64)])

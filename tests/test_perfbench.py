@@ -13,16 +13,17 @@ from streamst import decoder as dec
 from streamst import model as md
 from streamst.encoding import STRATEGIES
 from streamst.segmentation import fixed_plan
-from streamst.synthetic import SyntheticSpec, generate_corpus
+from streamst.synthetic import SyntheticSpec, generate_corpus, load_corpus, save_corpus
 
 import helpers
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  PERFBENCH / "tracing.py")
+def load_perfbench(name: str):
+    """perfbench/<name>.py as a module of its own, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + name,
+                                                  PERFBENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -35,7 +36,7 @@ def test_selftest_checks_accept_real_and_reject_wrong_outputs():
 
 
 def test_recorder_hooks_see_encoder_and_decoder_calls():
-    rec = load_tracing().Recorder()
+    rec = load_perfbench("tracing").Recorder()
     frames = np.random.default_rng(0).standard_normal((40, 8)).astype(np.float32)
     policy = dec.DecodePolicy(write_tokens=1, max_target_factor=0.0, max_target_slack=3)
     try:
@@ -64,7 +65,7 @@ def test_recorder_hooks_see_a_sweep(tmp_path):
                          embed_dim=4, vocab=spec.target_vocab)
     jobs = [{"strategy": "ulstm-overlap", "segmentation": seg, "k": k, "s": s, "N": 1}
             for seg, k, s in (("fixed", 8, 8), ("words", 0, 0), ("random", 4, 8))]
-    rec = load_tracing().Recorder()
+    rec = load_perfbench("tracing").Recorder()
     try:
         rec.install()
         cli.run_sweep(jobs, corpus, md.create_parameters(cfg, seed=0), cfg, tmp_path)
@@ -78,3 +79,16 @@ def test_recorder_hooks_see_a_sweep(tmp_path):
     assert rec.counter("cli.trace_bytes") > 0
     assert rec.n_calls("metrics.tradeoff_table") == 1
     assert rec.n_calls("decoder.simulate", "ulstm-overlap") == len(jobs) * len(corpus.ids)
+
+
+def test_sweep_corpus_saves_and_loads_back(tmp_path):
+    """The sweep workload saves seeded_corpus, whose utterances are renamed
+    after generation while their alignments keep the generated ids, and
+    loads it back."""
+    w = load_perfbench("workloads")
+    corpus = w.seeded_corpus(w.SWEEP_STREAM, 3)
+    save_corpus(tmp_path / "data", corpus)
+    loaded = load_corpus(tmp_path / "data")
+    assert loaded.ids == ["len%02d_%d" % (n, i) for n in w.CORPUS_SYMBOLS
+                          for i in range(w.CORPUS_PER_LENGTH)]
+    assert loaded.sources == {u.utt_id: u.source for u in corpus}

@@ -54,7 +54,7 @@ class TestOracleWordPlan:
     def words(self, ends):
         spans, prev = [], 0
         for e in ends:
-            spans.append(seg.WordSpan("w", prev, e))
+            spans.append(seg.WordSpan(prev, e))
             prev = e
         return spans
 
@@ -78,19 +78,19 @@ class TestOracleWordPlan:
         assert seg.oracle_word_plan(60, [], k=0).boundaries == (60,)
 
     def test_gap_logs_warning(self, caplog):
-        spans = [seg.WordSpan("a", 0, 40), seg.WordSpan("b", 48, 80)]
+        spans = [seg.WordSpan(0, 40), seg.WordSpan(48, 80)]
         with caplog.at_level(logging.WARNING):
             seg.oracle_word_plan(80, spans, k=0, utt_id="u1")
         assert any("uncovered" in r.message for r in caplog.records)
 
     def test_overlapping_spans_rejected(self):
-        spans = [seg.WordSpan("a", 0, 40), seg.WordSpan("b", 30, 60)]
+        spans = [seg.WordSpan(0, 40), seg.WordSpan(30, 60)]
         with pytest.raises(ConfigError):
             seg.oracle_word_plan(60, spans, k=0)
 
     def test_span_past_end_rejected(self):
         with pytest.raises(ConfigError):
-            seg.oracle_word_plan(50, [seg.WordSpan("a", 0, 60)], k=0)
+            seg.oracle_word_plan(50, [seg.WordSpan(0, 60)], k=0)
 
 
 class TestRandomPlan:
@@ -151,8 +151,8 @@ def unreadable_id(utt_id: str) -> bool:
 class TestBoundaryFiles:
     def test_roundtrip(self, tmp_path):
         table = {
-            "utt0": [seg.WordSpan("", 0, 40), seg.WordSpan("", 40, 88)],
-            "utt1": [seg.WordSpan("", 0, 56)],
+            "utt0": [seg.WordSpan(0, 40), seg.WordSpan(40, 88)],
+            "utt1": [seg.WordSpan(0, 56)],
             "utt2": [],
         }
         path = tmp_path / "bounds.tsv"
@@ -171,15 +171,15 @@ class TestBoundaryFiles:
     def test_id_with_tab_or_line_break_rejected(self, tmp_path, utt_id):
         path = tmp_path / "bounds.tsv"
         with pytest.raises(ConfigError):
-            sy.save_word_boundaries(path, {"ok": [], utt_id: [seg.WordSpan("", 0, 4)]})
+            sy.save_word_boundaries(path, {"ok": [], utt_id: [seg.WordSpan(0, 4)]})
         assert not path.exists()
 
     @settings(max_examples=200, deadline=None)
     @given(table=st.dictionaries(
         st.text(st.characters(exclude_categories=[])),
-        st.lists(st.builds(seg.WordSpan, st.just(""), st.integers(), st.integers()), max_size=6),
+        st.lists(st.builds(seg.WordSpan, st.integers(), st.integers()), max_size=6),
         max_size=6))
-    @example(table={"ok": [], chr(0xD800): [seg.WordSpan("", 0, 4)]})
+    @example(table={"ok": [], chr(0xD800): [seg.WordSpan(0, 4)]})
     @example(table={"a\tb": []})
     def test_roundtrip_any_table(self, tmp_path_factory, table):
         path = tmp_path_factory.getbasetemp() / "any-bounds.tsv"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from streamst import cli
 from streamst.errors import ConfigError
 from streamst.metrics import AlignmentSet
 from streamst.segmentation import WordSpan
@@ -99,8 +100,7 @@ def test_word_spans_tile_the_frame_axis(small_spec):
         fps = small_spec.frames_per_symbol
         for j, sp in enumerate(spans):
             piece = utt.source[sp.start // fps:sp.end // fps]
-            assert piece.rstrip(" ") == sp.word
-            assert sp.word == utt.source.split(" ")[j]
+            assert piece.rstrip(" ") == utt.source.split(" ")[j]
 
 
 def test_noise_free_frames_equal_the_symbol_means(small_spec):
@@ -313,6 +313,23 @@ def test_load_corpus_reports_missing_sources(tmp_path, small_spec):
         load_corpus(tmp_path / "data")
 
 
+def test_generated_corpus_loads_back_equal(tmp_path):
+    """Spans, alignments and the reordered flag that training reads agree
+    between a generated corpus and the same corpus loaded back.  One-word
+    utterances drawn for reversal keep a diagonal alignment, so they count
+    as in order both ways."""
+    spec = SyntheticSpec(frames_per_symbol=4, feat_dim=4)
+    corpus = generate_corpus(spec, 40, 1, 6, reversal_fraction=1.0, seed=0)
+    assert any(len(u.source.split()) == 1 for u in corpus)
+    save_corpus(tmp_path / "data", corpus)
+    loaded = load_corpus(tmp_path / "data")
+    assert loaded.ids == [u.utt_id for u in corpus]
+    assert [loaded.word_spans[u.utt_id] for u in corpus] == [u.words for u in corpus]
+    assert loaded.alignments == [u.alignment for u in corpus]
+    assert [e.reversed_order for e in cli._examples_of(loaded)] == \
+        [u.reversed_order for u in corpus]
+
+
 def readable_row(utt_id: str, text: str) -> bool:
     """True when an id<TAB>text row reads back as written."""
     try:
@@ -329,36 +346,48 @@ def has_a_word(text: str) -> bool:
 ANY_TEXT = st.text(st.characters(exclude_categories=[]))
 # an utterance's alignment needs a word on each side
 ANY_WORDS = ANY_TEXT.filter(has_a_word)
+# how far an alignment side lies from its text's word count
+SIDE_ERROR = st.sampled_from([0, 0, 0, -1, 1])
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.tuples(ANY_TEXT, ANY_WORDS, ANY_WORDS), min_size=1, max_size=4))
-@example(rows=[("utt0", "ab cd", "DE FG"), ("utt0", "x", "Y")])
-@example(rows=[("utt0", "ab", "DE"), ("u" + chr(0xDC00), "x", "Y")])
-@example(rows=[("a\tb", "x", "Y")])
-@example(rows=[("utt0", "ab", "DE\nFG")])
+@given(rows=st.lists(st.tuples(ANY_TEXT, ANY_WORDS, ANY_WORDS, SIDE_ERROR, SIDE_ERROR),
+                     min_size=1, max_size=4))
+@example(rows=[("utt0", "ab cd", "DE FG", 0, 0), ("utt0", "x", "Y", 0, 0)])
+@example(rows=[("utt0", "ab", "DE", 0, 0), ("u" + chr(0xDC00), "x", "Y", 0, 0)])
+@example(rows=[("a\tb", "x", "Y", 0, 0)])
+@example(rows=[("utt0", "ab", "DE\nFG", 0, 0)])
+@example(rows=[("utt0", "ab cd", "DE FG", 1, 0)])
+@example(rows=[("utt0", "ab", "DE FG", 0, 0)])
 def test_corpus_directory_round_trips_or_writes_nothing(tmp_path_factory, rows):
+    """save_corpus refuses the corpus and writes nothing, or it loads back
+    equal field for field, and training reads the same reordered flags."""
     out = tmp_path_factory.mktemp("corpus") / "data"
     corpus = []
-    for n, (utt_id, source, target) in enumerate(rows):
-        n_src, n_tgt = len(source.split()), len(target.split())
+    for n, (utt_id, source, target, d_src, d_tgt) in enumerate(rows):
+        n_src = max(1, len(source.split()) + d_src)
+        n_tgt = max(1, len(target.split()) + d_tgt)
         corpus.append(Utterance(
             utt_id, source, target, np.full((4 + n, 3), n, dtype=np.float32),
-            [WordSpan("", 0, 2), WordSpan("", 2, 4 + n)],
+            [WordSpan(0, 2), WordSpan(2, 4 + n)],
             AlignmentSet(utt_id, n_src, n_tgt, frozenset({(1, 1), (n_src, n_tgt)}))))
-    ids = [utt_id for utt_id, _, _ in rows]
+    ids = [row[0] for row in rows]
     try:
         save_corpus(out, corpus)
     except ConfigError:
         assert len(set(ids)) < len(ids) or not all(
-            readable_row(i, text) for i, s, t in rows for text in (s, t))
+            readable_row(i, text) for i, s, t, _, _ in rows for text in (s, t)) or any(
+            (u.alignment.src_len, u.alignment.tgt_len)
+            != (len(u.source.split()), len(u.target.split())) for u in corpus)
         assert not out.exists()
         return
     loaded = load_corpus(out)
     assert loaded.ids == ids
-    assert loaded.sources == {i: s for i, s, _ in rows}
-    assert loaded.targets == {i: t for i, _, t in rows}
+    assert loaded.sources == {u.utt_id: u.source for u in corpus}
+    assert loaded.targets == {u.utt_id: u.target for u in corpus}
     for utt in corpus:
         assert np.array_equal(loaded.features[utt.utt_id], utt.frames)
         assert loaded.word_spans[utt.utt_id] == utt.words
     assert loaded.alignments == [u.alignment for u in corpus]
+    assert [e.reversed_order for e in cli._examples_of(loaded)] == \
+        [u.reversed_order for u in corpus]
