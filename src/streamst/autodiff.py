@@ -16,8 +16,11 @@ One op spans many steps: lstm runs a whole recurrence on plain arrays and
 records it as one node whose rule is backpropagation through time.  One
 stacked matmul forms every row's input product, bit for bit as a row at a
 time would; each step runs in place in buffers allocated once per call,
-with one tanh, and the rule reuses the forward's row products.  maxpool2d's
-forward is a chain of np.maximum; only its rule pays for the argmax.
+with one tanh, and the rule reuses the forward's row products.  attention
+records the decoder's additive attention weights as one node: its forward
+and rule make the numpy calls of the seven ops it replaces, in their order,
+so its weights and gradients have their bits.  maxpool2d's forward is a chain
+of np.maximum; only its rule pays for the argmax.
 The conv2d forward adds its products into each output one at a time, in
 the order of a scalar loop, so its outputs are bit-identical to that loop's;
 the streaming equivalence checks rely on it.  numpy's reductions would sum
@@ -136,6 +139,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to the shape of the operand it belongs to."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -226,18 +231,21 @@ def log(a: Tensor) -> Tensor:
     return _op(np.log(a.data), (a,), lambda g: _accum(a, g / a.data))
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shift-stabilised."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient at a softmax's input, given g at its output y."""
+    return (g - (g * y).sum(axis=-1, keepdims=True)) * y
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, shift-stabilised."""
-    x = a.data
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def rule(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(a, (g - dot) * y)
-
-    return _op(y, (a,), rule)
+    y = _softmax(a.data)
+    return _op(y, (a,), lambda g: _accum(a, _softmax_grad(g, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +265,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, a.data.T @ g)
 
     return _op(a.data @ b.data, (a, b), rule)
+
+
+def attention(values: Tensor, we: Tensor, query: Tensor, wd: Tensor, v: Tensor) -> Tensor:
+    """Additive attention weights over the (P, E) rows of values: the (1, P)
+    softmax((tanh(values @ we + query @ wd) @ v).T) for a (1, D) query,
+    weights we (E, A) and wd (D, A), and a (A, 1) scorer v.
+
+    One tape node in place of seven: matmul, matmul, add, tanh, matmul,
+    transpose and softmax.  The forward makes their numpy calls, and the rule
+    repeats their rules' arithmetic in their order, so the weights and every
+    gradient have the bits of those ops composed.
+    """
+    vd, wed, qd, wdd, sv = values.data, we.data, query.data, wd.data, v.data
+    if not (vd.ndim == wed.ndim == qd.ndim == wdd.ndim == 2 and len(vd) >= 1 and len(qd) == 1
+            and wed.shape[0] == vd.shape[1] and wdd.shape == (qd.shape[1], wed.shape[1])
+            and sv.shape == (wed.shape[1], 1)):
+        raise ShapeError("attention cannot score values %r with we %r, query %r, wd %r, v %r"
+                         % (values.shape, we.shape, query.shape, wd.shape, v.shape))
+    operands = (values, we, query, wd, v)
+    if any(t.data.dtype != vd.dtype for t in operands):
+        raise _mixed("attention", *operands)
+    e = np.tanh(vd @ wed + qd @ wdd)  # (P, A)
+    y = _softmax((e @ sv).reshape(1, -1))  # the (P, 1) scores as a (1, P) row
+
+    def rule(g):
+        ds = _softmax_grad(g, y).reshape(-1, 1)  # at the scores, (P, 1)
+        _accum(v, e.T @ ds)
+        ds = (ds @ sv.T) * (1 - e * e)  # at the tanh's input, (P, A)
+        dq = ds.sum(axis=0, keepdims=True)
+        _accum(query, dq @ wdd.T)
+        _accum(wd, qd.T @ dq)
+        _accum(values, ds @ wed.T)
+        _accum(we, vd.T @ ds)
+
+    return _op(y, operands, rule)
 
 
 # ---------------------------------------------------------------------------

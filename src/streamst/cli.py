@@ -200,8 +200,8 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
     way.  Nothing is written unless each job holds the CONFIG_FIELDS with
     their types, a known segmentation (s = 0 for words), a strategy the
     model runs, N >= 1 and a configuration no other job has (both would
-    write one trace file), every plan can be built, and frame_ms and
-    tokenize are valid.
+    write one trace file), every plan can be built, frame_ms and tokenize
+    are valid, and every simulation completes.
     """
     check_frame_ms(frame_ms)
     check_tokenize(tokenize)
@@ -227,8 +227,6 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
                           seed + 9973 * j + i, utt_id),
               DecodePolicy(write_tokens=config["N"]), config["strategy"])
              for j, config in enumerate(configs) for i, utt_id in enumerate(corpus.ids)]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(cfg, params, frame_ms)) as pool:
@@ -238,6 +236,8 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
         traces = list(map(_pool_run, tasks))
     n = len(corpus.ids)
     results = [(config, traces[j * n:(j + 1) * n]) for j, config in enumerate(configs)]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for (config, records), name in zip(results, names):
         write_traces(out / name, records)
     index = [{**config, "trace": name, "utterances": n} for config, name in zip(configs, names)]

@@ -266,10 +266,8 @@ def decode_step(prev_token: int, state: list, enc_outputs: ad.Tensor,
                             % (prev_token, cfg.vocab_size))
     emb = ad.row(params["embed"], prev_token)
     query = state[1][0]  # top layer hidden drives attention
-    scores = ad.matmul(ad.tanh(ad.add(ad.matmul(enc_outputs, params["attn_enc"]),
-                                      ad.matmul(query, params["attn_dec"]))),
-                       params["attn_v"])          # (P, 1)
-    attn = ad.softmax(ad.transpose(scores))       # (1, P)
+    attn = ad.attention(enc_outputs, params["attn_enc"], query, params["attn_dec"],
+                        params["attn_v"])         # (1, P)
     context = ad.matmul(attn, enc_outputs)        # (1, enc_out)
     x = ad.concat_last(emb, context)
     hs0, h0, c0 = ad.lstm(x, *state[0], *_weights(params, "dec0"))

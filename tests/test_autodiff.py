@@ -428,6 +428,7 @@ def one_call_of_each_op(a, b, img, k, h, c, wx, wh, bias):
     and bias for it."""
     return [ad.add(a, b), ad.sub(a, b), ad.mul(a, b), ad.sigmoid(a), ad.tanh(a),
             ad.exp(a), ad.log(ad.exp(a)), ad.softmax(a), ad.matmul(a, ad.transpose(b)),
+            ad.attention(a, ad.transpose(b), h, ad.matmul(ad.transpose(h), h), ad.transpose(h)),
             ad.transpose(a), ad.lstm(a, h, c, wx, wh, bias)[0], ad.conv2d(img, k),
             ad.maxpool2d(img), ad.reshape(a, (3, 2)),
             ad.slice_last(a, 0, 2), ad.concat_last(a, b), ad.stack_rows([ad.row(a, 0)]),
@@ -553,6 +554,56 @@ class TestSigmoid:
         assert got.tobytes() == want.tobytes()
 
 
+def composed_attention(values, we, query, wd, v):
+    """The weights ad.attention fuses, from seven ops of their own."""
+    scores = ad.matmul(ad.tanh(ad.add(ad.matmul(values, we), ad.matmul(query, wd))), v)
+    return ad.softmax(ad.transpose(scores))
+
+
+class TestAttention:
+    """ad.attention is one tape node with the bits of the ops it fuses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), p=st.integers(1, 40),
+           dims=st.tuples(*[st.integers(1, 6)] * 3), scale=st.sampled_from([0.1, 1.0, 8.0]),
+           needs=st.lists(st.booleans(), min_size=5, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_weights_and_gradients_equal_the_composed_ops(self, dtype, p, dims, scale, needs,
+                                                           seed):
+        """The weights, and every input's gradient through a loss that reads
+        both the weights and their context matmul(attn, values), equal the
+        composed graph's bit for bit, whichever inputs require grad."""
+        e, d, a = dims
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(s) * scale for s in ((p, e), (e, a), (1, d), (d, a), (a, 1))]
+        head = t(rng.standard_normal((e, 3)), dtype=dtype)
+        runs = []
+        for attend in (ad.attention, composed_attention):
+            ts = [t(x, grad=need, dtype=dtype) for x, need in zip(arrays, needs)]
+            with ad.Tape() as tape:
+                attn = attend(*ts)
+                context = ad.matmul(attn, ts[0])
+                loss = ad.add(ad.sum_all(ad.tanh(ad.matmul(context, head))),
+                              ad.sum_all(ad.mul(attn, attn)))
+            ad.backward(tape, loss)
+            runs.append((attn.data, [x.grad for x in ts]))
+        (fused, fused_grads), (composed, composed_grads) = runs
+        assert fused.dtype == dtype and fused.tobytes() == composed.tobytes()
+        for need, got, want in zip(needs, fused_grads, composed_grads):
+            assert (got is None) == (want is None) == (not need)
+            assert got is None or got.tobytes() == want.tobytes()
+
+    def test_rejects_mismatched_shapes_and_mixed_dtypes(self):
+        ts = [t(np.ones(s)) for s in ((4, 3), (3, 5), (1, 2), (2, 5), (5, 1))]
+        for i, bad in ((0, (4, 2)), (1, (3, 4)), (2, (2, 2)), (3, (3, 5)), (4, (5,))):
+            with pytest.raises(ShapeError):
+                ad.attention(*ts[:i], t(np.ones(bad)), *ts[i + 1:])
+        with pytest.raises(ShapeError):
+            ad.attention(t(np.ones((0, 3))), *ts[1:])
+        with pytest.raises(ContractError, match="attention needs one dtype"):
+            ad.attention(*ts[:4], t(np.ones((5, 1)), dtype=np.float64))
+
+
 # x (T=3, F=2), h0 and c0 (1, H=3), wx, wh, b
 LSTM_SHAPES = [(3, 2), (1, 3), (1, 3), (2, 12), (3, 12), (12,)]
 
@@ -577,6 +628,8 @@ OP_CASES = [
     ("exp", lambda ts: ad.sum_all(ad.exp(ts[0])), [(3, 3)]),
     ("log", lambda ts: ad.sum_all(ad.log(ad.exp(ts[0]))), [(3, 3)]),
     ("softmax", lambda ts: ad.sum_all(ad.mul(ts[1], ad.softmax(ts[0]))), [(2, 6), (2, 6)]),
+    ("attention", lambda ts: ad.sum_all(ad.tanh(ad.matmul(ad.attention(*ts), ts[0]))),
+     [(4, 3), (3, 5), (1, 2), (2, 5), (5, 1)]),
     ("conv-same", lambda ts: ad.sum_all(ad.tanh(ad.conv2d(ts[0], ts[1], ts[2]))),
      [(2, 5, 4), (3, 2, 3, 3), (3,)]),
     ("conv-valid", lambda ts: ad.sum_all(ad.tanh(ad.conv2d(ts[0], ts[1], padding="valid"))),

@@ -15,8 +15,9 @@ from streamst import cli, training
 from streamst.decoder import read_traces
 from streamst.encoding import STRATEGIES
 from streamst.metrics import CONFIG_FIELDS, TRADEOFF_COLUMNS
-from streamst.errors import ConfigError
+from streamst.errors import ConfigError, InsufficientFramesError
 from streamst.model import load_checkpoint
+from streamst.segmentation import WordSpan
 from streamst.synthetic import (SyntheticSpec, generate_corpus, load_corpus, save_corpus,
                                 write_features)
 
@@ -448,6 +449,27 @@ def test_sweep_refuses_a_job_that_misreports_its_configuration(corpus_dir, model
     first = {"strategy": "ulstm-reencode", "segmentation": "words", "k": 0, "s": 0, "N": 1}
     with pytest.raises(ConfigError, match=error):
         cli.run_sweep([first, {**first, **last}], load_corpus(corpus_dir), params, cfg, out)
+    assert not out.exists()
+
+
+def test_sweep_that_cannot_simulate_an_utterance_writes_nothing(model_path, tmp_path):
+    """An utterance too short for one encoder position fails its simulation;
+    the sweep raises before it makes its output directory."""
+    cfg, params = load_checkpoint(model_path)
+    spec = SyntheticSpec(frames_per_symbol=4, feat_dim=6)
+    short, *rest = generate_corpus(spec, 3, 1, 4, seed=2)
+    short = dataclasses.replace(short, source=short.source[0], target=short.target[0],
+                                frames=short.frames[:3], words=[WordSpan(0, 3)],
+                                alignment=dataclasses.replace(short.alignment, src_len=1,
+                                                              tgt_len=1,
+                                                              pairs=frozenset({(1, 1)})))
+    save_corpus(tmp_path / "data", rest + [short])
+    corpus = load_corpus(tmp_path / "data")
+    assert len(corpus.features[short.utt_id]) == 3
+    out = tmp_path / "sweep"
+    job = {"strategy": "ulstm-reencode", "segmentation": "fixed", "k": 4, "s": 4, "N": 1}
+    with pytest.raises(InsufficientFramesError, match=short.utt_id):
+        cli.run_sweep([job], corpus, params, cfg, out)
     assert not out.exists()
 
 

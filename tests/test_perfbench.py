@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from streamst import cli
+from streamst import cli, training
 from streamst import decoder as dec
 from streamst import model as md
 from streamst.encoding import STRATEGIES
@@ -79,6 +79,29 @@ def test_recorder_hooks_see_a_sweep(tmp_path):
     assert rec.counter("cli.trace_bytes") > 0
     assert rec.n_calls("metrics.tradeoff_table") == 1
     assert rec.n_calls("decoder.simulate", "ulstm-overlap") == len(jobs) * len(corpus.ids)
+
+
+def test_recorder_hooks_see_training():
+    """The train workload's figures come from hooks on training.train,
+    training.utterance_loss, model.decode_step and autodiff.backward, whose
+    counter reads each tape's length."""
+    spec = SyntheticSpec(frames_per_symbol=4, feat_dim=6)
+    corpus = generate_corpus(spec, 3, 2, 4, seed=1)
+    cfg = md.ModelConfig(feat_dim=6, vgg_channels=(2, 2), enc_layers=1, hidden=4, attn_dim=4,
+                         embed_dim=4, vocab=spec.target_vocab)
+    tcfg = training.TrainConfig(epochs=1, batch_size=2, optimizer="adam", holdout_fraction=0.0)
+    rec = load_perfbench("tracing").Recorder()
+    try:
+        rec.install()
+        training.train(md.create_parameters(cfg, seed=0), cfg, corpus, tcfg)
+    finally:
+        rec.unpatch()
+    assert training.train.__module__ == "streamst.training"  # the patches are gone
+    assert rec.n_calls("training.train") == 1
+    assert rec.n_calls("training.utterance_loss") == len(corpus)
+    assert rec.n_calls("autodiff.backward") == len(corpus)
+    assert rec.n_calls("model.decode_step") >= sum(len(u.target) + 1 for u in corpus)
+    assert rec.counter("autodiff.tape_ops") > 0
 
 
 def test_sweep_corpus_saves_and_loads_back(tmp_path):
