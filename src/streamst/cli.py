@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import statistics
 import sys
 import time
@@ -31,8 +30,6 @@ from .model import ModelConfig, create_parameters, load_checkpoint, save_checkpo
 from .segmentation import fixed_plan, oracle_word_plan, random_plan
 from .synthetic import SyntheticSpec, generate_corpus, load_corpus, save_corpus, write_rows
 from .training import OPTIMIZERS, TrainConfig, train
-
-logger = logging.getLogger(__name__)
 
 MAX_SWEEP_RUNS = 10_000
 
@@ -197,14 +194,16 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
     memory; read_traces gives back exactly these records, so a report
     rebuilds the rows from the files.  Simulations parallelize across
     processes when workers > 1; results keep job and corpus order either
-    way.  Nothing is written unless each job holds the CONFIG_FIELDS with
-    their types, a known segmentation (s = 0 for words), a strategy the
-    model runs, N >= 1 and a configuration no other job has (both would
-    write one trace file), every plan can be built, frame_ms and tokenize
-    are valid, and every simulation completes.
+    way.  Nothing is written unless the corpus holds an utterance, each job
+    holds the CONFIG_FIELDS with their types, a known segmentation (s = 0
+    for words), a strategy the model runs, N >= 1 and a configuration no
+    other job has (both would write one trace file), every plan can be
+    built, frame_ms and tokenize are valid, and every simulation completes.
     """
     check_frame_ms(frame_ms)
     check_tokenize(tokenize)
+    if not corpus.ids:
+        raise ConfigError("sweep needs a corpus with at least one utterance")
     configs = [_config(job, "sweep job %d" % j) for j, job in enumerate(jobs)]
     names = [_TRACE_NAME % config for config in configs]
     for j, config in enumerate(configs):
@@ -259,7 +258,8 @@ def _cmd_simulate(args) -> int:
     print("ran %d configurations over %d utterances; table at %s"
           % (len(jobs), len(corpus.ids), Path(args.out) / "tradeoff.csv"))
     for row in rows:
-        print("  %s  BLEU %.4f  AL %.1f ms" % (_LABEL % row.config, row.bleu, row.al_ms))
+        print("  %s  BLEU %.4f  AL %.1f ms  truncated %d"
+              % (_LABEL % row.config, row.bleu, row.al_ms, row.truncated))
     return 0
 
 
@@ -378,44 +378,46 @@ def _subset_rows(results: list, keep: set, references: dict, tokenize: str) -> l
 
 
 def _cmd_report(args) -> int:
+    """Every table is computed before the output directory is made, so a
+    refused report writes nothing."""
     sweep, results = _read_sweep(args.sweep)
     corpus = load_corpus(args.data)
+    tokenize = args.tokenize or sweep["tokenize"]
+    rows = tradeoff_table(results, corpus.targets, tokenize=tokenize)
+    scores = [lagging_difficulty(a) for a in corpus.alignments]
+    subsets = []
+    if args.subset_size:
+        if not scores:
+            raise ConfigError("--subset-size needs a corpus with alignments.txt")
+        hardest, easiest = extract_subsets(scores, args.subset_size)
+        subsets = [(label, ids, _subset_rows(results, set(ids), corpus.targets, tokenize))
+                   for label, ids in (("hardest", hardest), ("easiest", easiest))]
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tokenize = args.tokenize or sweep["tokenize"]
-
-    rows = tradeoff_table(results, corpus.targets, tokenize=tokenize)
     write_tradeoff_csv(out / "curves.csv", rows)
-
     with open(out / "per_utterance.jsonl", "w", encoding="utf-8") as f:
         for config, traces in results:
             for tr in traces:
-                ref = corpus.targets.get(tr.utt_id)
-                lag = None if ref is None else utterance_lagging(tr, ref, tokenize)
+                lag = utterance_lagging(tr, corpus.targets[tr.utt_id], tokenize)
                 f.write(json.dumps({"config": config, "utt": tr.utt_id,
                                     "hyp": tr.hypothesis, "al_ms": lag,
                                     "frames_processed": tr.cost.frames_processed,
                                     "wall_ns": tr.cost.wall_ns, "chunks": tr.cost.chunks,
                                     "truncated": tr.truncated,
                                     "suppressed_eos": tr.suppressed_eos}) + "\n")
-
     written = [str(out / "curves.csv"), str(out / "per_utterance.jsonl")]
-    if corpus.alignments:
-        scores = [lagging_difficulty(a) for a in corpus.alignments]
+    if scores:
         with open(out / "difficulty.csv", "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(["utt_id", "difficulty", "cutoff"])
             w.writerows([sc.utt_id, "%.6f" % sc.value, sc.tau] for sc in scores)
         written.append(str(out / "difficulty.csv"))
-        if args.subset_size:
-            hardest, easiest = extract_subsets(scores, args.subset_size)
-            for label, ids in (("hardest", hardest), ("easiest", easiest)):
-                (out / ("subset_%s.txt" % label)).write_text(
-                    "".join(i + "\n" for i in ids), encoding="utf-8")
-                write_tradeoff_csv(out / ("curves_%s.csv" % label),
-                                   _subset_rows(results, set(ids),
-                                                corpus.targets, tokenize))
-                written.append(str(out / ("curves_%s.csv" % label)))
+    for label, ids, subset_rows in subsets:
+        (out / ("subset_%s.txt" % label)).write_text("".join(i + "\n" for i in ids),
+                                                    encoding="utf-8")
+        write_tradeoff_csv(out / ("curves_%s.csv" % label), subset_rows)
+        written.append(str(out / ("curves_%s.csv" % label)))
     print("wrote %s" % ", ".join(written))
     return 0
 
@@ -428,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamst",
         description="Low-latency end-to-end speech translation sandbox")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log progress details")
     commands = parser.add_subparsers(dest="command", required=True)
     parser.sub_commands = {}
 
@@ -564,9 +564,6 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        logging.basicConfig(
-            level=logging.DEBUG if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s")
         return args.run(args)
     except (ValueError, RuntimeError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -12,7 +12,6 @@ Offline translation is the same loop with a single read.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,6 @@ from .errors import (ConfigError, ContractError, InsufficientFramesError, parse_
 from .model import (BOS_ID, EOS_ID, NUM_SPECIALS, ModelConfig, Parameters, Vocab,
                     decode_step, init_decoder_state)
 from .segmentation import SegmentationPlan
-
-logger = logging.getLogger(__name__)
 
 FRAME_MS = 10.0  # default frame duration
 
@@ -125,15 +122,12 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
             if len(out_ids) >= cap:
                 if is_last:
                     truncated = True
-                    logger.warning("hypothesis for %r hit the length cap", plan.utt_id)
                 break
             logits, new_state, _ = decode_step(prev, state, enc, params, cfg)
             token = int(np.argmax(logits.data[0]))
             if token == EOS_ID:
                 if not is_last:
                     suppressed += 1
-                    logger.debug("suppressed end-of-sequence on %r at g=%d",
-                                 plan.utt_id, bound)
                 break  # mid-stream the state stays uncommitted; go read more input
             state = new_state
             prev = token

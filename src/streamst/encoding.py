@@ -25,11 +25,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, StreamClosedError
-from .model import ModelConfig, Parameters, encoder_forward, vgg_forward
+from .model import MIN_CHUNK_FRAMES, ModelConfig, Parameters, encoder_forward, vgg_forward
 
 STRATEGIES = ("blstm-reencode", "ulstm-reencode", "ulstm-overlap")
-
-MIN_CHUNK_FRAMES = 4  # the front end needs this many frames for one position
 
 
 def _half(n: int) -> int:

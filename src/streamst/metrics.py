@@ -12,14 +12,11 @@ the furthest aligned source position minus the evenly-paced diagonal.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConfigError
-
-logger = logging.getLogger(__name__)
 
 # One simulation configuration: its fields and their types, in column order.
 CONFIG_FIELDS = (("strategy", str), ("k", int), ("s", int), ("N", int), ("segmentation", str))
@@ -207,39 +204,38 @@ class TradeoffRow:
     al_ms: float
     frames_processed: float  # mean per utterance
     wall_ns: float           # mean per utterance
+    truncated: int           # utterances whose final read hit the length cap
 
 
 def tradeoff_table(results: list, references: dict, tokenize: str = "word") -> list:
     """Aggregate one row per configuration.
 
     results holds (config, traces) pairs, where traces are per-utterance
-    DecodeTraces; each row keeps its config as given.  Utterances without a
-    reference are skipped with a warning.
+    DecodeTraces; each row keeps its config as given.  A configuration
+    without traces, or a trace whose utterance has no reference, is refused.
+    AL averages over the traces that wrote something.
     """
     rows = []
     for config, traces in results:
+        if not traces:
+            raise ConfigError("configuration %r has no traces" % (config,))
         hyps, refs, lags = [], [], []
         frames, walls = [], []
         for tr in traces:
             ref = references.get(tr.utt_id)
             if ref is None:
-                logger.warning("no reference for %r, skipping", tr.utt_id)
-                continue
+                raise ConfigError("no reference for utterance %r" % (tr.utt_id,))
             hyps.append(tr.hypothesis)
             refs.append(ref)
             frames.append(tr.cost.frames_processed)
             walls.append(tr.cost.wall_ns)
             lag = utterance_lagging(tr, ref, tokenize)
-            if lag is None:
-                logger.debug("empty hypothesis for %r, no lag sample", tr.utt_id)
-            else:
+            if lag is not None:
                 lags.append(lag)
-        if not hyps:
-            logger.warning("configuration %r matched no references", config)
-            continue
         rows.append(TradeoffRow(config, bleu(hyps, refs, tokenize=tokenize),
                                 (sum(lags) / len(lags)) if lags else float("nan"),
-                                sum(frames) / len(frames), sum(walls) / len(walls)))
+                                sum(frames) / len(frames), sum(walls) / len(walls),
+                                sum(tr.truncated for tr in traces)))
     return rows
 
 

@@ -179,12 +179,16 @@ def create_parameters(cfg: ModelConfig, seed: int = 0) -> Parameters:
 # ---------------------------------------------------------------------------
 # forward passes
 
+# Each front-end block ends in a 2x2 pool that halves time, so the two blocks
+# give one encoder position per 4 frames; fewer frames give none.
+MIN_CHUNK_FRAMES = 4
+
 
 def vgg_forward(frames, params: Parameters, cfg: ModelConfig) -> ad.Tensor:
     """Run the two-block convolutional front end over (T, D) frames.
 
     Returns (P, F) position features with P = floor(floor(T/2)/2).  Inputs
-    shorter than 4 frames would produce no positions and are rejected.
+    shorter than MIN_CHUNK_FRAMES would produce no positions and are rejected.
     """
     x = frames if isinstance(frames, ad.Tensor) else ad.Tensor(frames)
     if x.data.ndim != 2:
@@ -192,9 +196,9 @@ def vgg_forward(frames, params: Parameters, cfg: ModelConfig) -> ad.Tensor:
     t_len, d = x.shape
     if d != cfg.feat_dim:
         raise ConfigError("frames have %d features, model expects %d" % (d, cfg.feat_dim))
-    if t_len < 4:
-        raise InsufficientFramesError(
-            "%d frames produce no encoder positions (need at least 4)" % t_len)
+    if t_len < MIN_CHUNK_FRAMES:
+        raise InsufficientFramesError("%d frames produce no encoder positions (need at least %d)"
+                                      % (t_len, MIN_CHUNK_FRAMES))
     h = ad.reshape(x, (1, t_len, d))
     for b in range(2):
         h = ad.tanh(ad.conv2d(h, params["vgg%d_conv1_k" % b], params["vgg%d_conv1_b" % b]))

@@ -8,13 +8,10 @@ reference segmentation, and random segment sizes drawn within bounds.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 
 from .errors import ConfigError, EmptyUtteranceError
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,8 @@ def fixed_plan(total_frames: int, k: int, s: int, utt_id: str = "") -> Segmentat
 def oracle_word_plan(total_frames: int, words: list, k: int = 0,
                      utt_id: str = "") -> SegmentationPlan:
     """Read to the end of the first word whose extent reaches k, then one
-    word per read.  Trailing frames after the last word join the final read.
+    word per read.  Frames between words join the next word's read, and
+    trailing frames after the last word join the final read.
     """
     if total_frames < 1:
         raise EmptyUtteranceError("utterance %r has no frames" % (utt_id,))
@@ -80,9 +78,6 @@ def oracle_word_plan(total_frames: int, words: list, k: int = 0,
     for span in words:
         if span.start < prev_end:
             raise ConfigError("word spans overlap or run backwards near frame %d" % span.start)
-        if span.start > prev_end:
-            logger.warning("word spans for %r leave frames %d:%d uncovered",
-                           utt_id, prev_end, span.start)
         if span.end <= span.start or span.end > total_frames:
             raise ConfigError("word span %d:%d outside utterance of %d frames"
                               % (span.start, span.end, total_frames))

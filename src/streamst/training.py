@@ -21,7 +21,6 @@ characters.  Reversed-order utterances are exempt.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from dataclasses import dataclass
@@ -35,8 +34,6 @@ from .metrics import bleu
 from .model import (BOS_ID, EOS_ID, ModelConfig, Parameters, Vocab,
                     decode_step, encode_utterance, init_decoder_state)
 from .synthetic import split_holdout
-
-logger = logging.getLogger(__name__)
 
 
 OPTIMIZERS = ("momentum", "adam")
@@ -232,8 +229,6 @@ def train(params: Parameters, cfg: ModelConfig, corpus: list,
                              mean_loss=epoch_loss / epoch_tokens,
                              holdout_bleu=holdout_score(held, params, cfg))
         reports.append(report)
-        logger.info("epoch %d: loss/token %.4f, holdout BLEU %.4f",
-                    report.epoch, report.mean_loss, report.holdout_bleu)
         if on_epoch is not None:
             on_epoch(report)
     return reports

@@ -10,6 +10,7 @@ asserted as properties, not values.
 import csv
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ class TestGradientCorrectness:
     def test_criterion_04_finite_differences(self, name, build, shapes):
         """Every differentiable op agrees with central differences at 1e-3
         relative tolerance on small tensors."""
-        rng = np.random.default_rng(hash(name) % (2 ** 31))
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         arrays = [rng.uniform(-0.9, 0.9, size=s).astype(np.float32) for s in shapes]
         if name == "maxpool":
             # keep window maxima unique so the subgradient is well defined

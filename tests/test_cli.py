@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import logging
 import tempfile
 from pathlib import Path
 
@@ -18,8 +19,8 @@ from streamst.metrics import CONFIG_FIELDS, TRADEOFF_COLUMNS
 from streamst.errors import ConfigError, InsufficientFramesError
 from streamst.model import load_checkpoint
 from streamst.segmentation import WordSpan
-from streamst.synthetic import (SyntheticSpec, generate_corpus, load_corpus, save_corpus,
-                                write_features)
+from streamst.synthetic import (SyntheticSpec, generate_corpus, load_corpus, read_features,
+                                save_corpus, write_features)
 
 GEN_ARGS = ["--utterances", "10", "--min-len", "4", "--max-len", "8",
             "--seed", "1", "--frames-per-symbol", "4", "--feat-dim", "6"]
@@ -164,7 +165,7 @@ def run_simulate(corpus_dir, model_path, out, extra):
                      str(model_path), "--out", str(out)] + extra)
 
 
-def test_simulate_writes_traces_index_and_table(corpus_dir, model_path, tmp_path):
+def test_simulate_writes_traces_index_and_table(corpus_dir, model_path, tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = run_simulate(corpus_dir, model_path, out,
                       ["--strategy", "ulstm-reencode", "ulstm-overlap",
@@ -175,9 +176,13 @@ def test_simulate_writes_traces_index_and_table(corpus_dir, model_path, tmp_path
     assert {row[0] for row in rows[1:]} == {"ulstm-reencode", "ulstm-overlap"}
     sweep = json.loads((out / "sweep.json").read_text())
     assert len(sweep["jobs"]) == 2
-    for entry in sweep["jobs"]:
-        assert (out / entry["trace"]).exists()
+    summaries = capsys.readouterr().out.splitlines()[1:]
+    assert len(summaries) == 2
+    for entry, summary in zip(sweep["jobs"], summaries):
         assert entry["utterances"] == 10
+        truncated = sum(r.truncated for r in read_traces(out / entry["trace"]))
+        assert summary.startswith("  %s fixed k=8 s=16 N=1  BLEU " % entry["strategy"])
+        assert summary.endswith("  truncated %d" % truncated)
 
 
 def test_simulate_single_read_matches_offline_translation(corpus_dir, model_path,
@@ -371,6 +376,60 @@ def test_report_rejects_a_trace_file_missing_utterances(corpus_dir, model_path,
     assert "%s holds 5 utterances, sweep.json records 10" % trace in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def small_sweep(tmp_path_factory, corpus_dir, model_path):
+    out = tmp_path_factory.mktemp("small") / "sweep"
+    assert run_simulate(corpus_dir, model_path, out, ["--k", "8", "--s", "16"]) == 0
+    return out
+
+
+def copy_corpus(src, dst, drop=0, alignments=True):
+    """The corpus at src without its last drop utterances, and without
+    alignments.txt unless alignments."""
+    dst.mkdir()
+    items = read_features(src / "features.simf")
+    items = items[:len(items) - drop]
+    write_features(dst / "features.simf", items)
+    kept = {utt_id for utt_id, _ in items}
+    for name in ("source.tsv", "target.tsv", "boundaries.tsv"):
+        lines = (src / name).read_text().splitlines(keepends=True)
+        (dst / name).write_text("".join(line for line in lines if line.split("\t")[0] in kept))
+    if alignments:
+        (dst / "alignments.txt").write_bytes((src / "alignments.txt").read_bytes())
+    return dst
+
+
+@pytest.mark.parametrize("drop, alignments, extra, message", [
+    (1, False, [], "no reference for utterance"),
+    (0, True, ["--subset-size", "50"], "subset of 50 from only 10 scores"),
+    (0, True, ["--subset-size", "-2"], "subset size must be positive, got -2"),
+    (0, False, ["--subset-size", "3"], "--subset-size needs a corpus with alignments.txt"),
+], ids=["utterance-without-reference", "subset-too-large", "negative-subset",
+        "subset-without-alignments"])
+def test_report_refuses_what_it_cannot_score_and_writes_nothing(
+        corpus_dir, small_sweep, tmp_path, capsys, drop, alignments, extra, message):
+    data = copy_corpus(corpus_dir, tmp_path / "data", drop, alignments)
+    out = tmp_path / "rep"
+    rc = cli.main(["report", "--sweep", str(small_sweep), "--data", str(data),
+                   "--out", str(out)] + extra)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_no_command_logs_a_record(corpus_dir, model_path, tmp_path, caplog):
+    """Truncation, suppressed end-of-sequence and epoch progress are fields
+    of the records that carry them; nothing is logged, at any level."""
+    caplog.set_level(logging.DEBUG)
+    assert cli.main(["bench", "--frames", "200", "--reps", "1", "--seed", "1"]) == 0
+    cfg, params = load_checkpoint(model_path)
+    job = {"strategy": "ulstm-reencode", "segmentation": "fixed", "k": 8, "s": 8, "N": 1}
+    cli.run_sweep([job], load_corpus(corpus_dir), params, cfg, tmp_path / "sweep")
+    training.train(params, cfg, cli._examples_of(load_corpus(corpus_dir)),
+                   training.TrainConfig(epochs=1, batch_size=4, holdout_fraction=0.2))
+    assert caplog.records == []
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"jobs": None}, "sweep.json: jobs must be list, got None"),
     ({"k": None}, "sweep.json jobs[0]: k must be int, got None"),
@@ -508,7 +567,7 @@ def test_sweep_jobs_are_refused_or_read_back_as_written(corpus_dir, model_path, 
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "sweep"
         try:
-            cli.run_sweep(jobs, corpus, params, cfg, out)
+            rows = cli.run_sweep(jobs, corpus, params, cfg, out)
         except ConfigError:
             assert not out.exists()
             return
@@ -516,6 +575,18 @@ def test_sweep_jobs_are_refused_or_read_back_as_written(corpus_dir, model_path, 
     typed = lambda config: [(key, type(config[key]), config[key])  # noqa: E731
                             for key, _ in CONFIG_FIELDS]
     assert [typed(config) for config, _ in results] == [typed(job) for job in jobs]
+    assert [row.truncated for row in rows] == [sum(tr.truncated for tr in traces)
+                                               for _, traces in results]
+
+
+def test_sweep_of_an_empty_corpus_writes_nothing(corpus_dir, model_path, tmp_path):
+    cfg, params = load_checkpoint(model_path)
+    corpus = load_corpus(corpus_dir)
+    corpus.ids = []
+    job = {"strategy": "ulstm-reencode", "segmentation": "fixed", "k": 8, "s": 8, "N": 1}
+    with pytest.raises(ConfigError, match="at least one utterance"):
+        cli.run_sweep([job], corpus, params, cfg, tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_report_lags_agree_with_the_table_on_an_empty_reference(corpus_dir, model_path,

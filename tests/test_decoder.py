@@ -2,7 +2,6 @@
 
 import copy
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -209,14 +208,17 @@ class TestEosHandling:
         for bound in plan.boundaries[:-1]:
             assert trace.delays_ms.count(bound * trace.frame_ms) == 3
 
-    def test_offline_cap_logs_warning(self, uni_cfg, caplog):
+    def test_offline_cap_sets_truncated(self, uni_cfg):
+        """One read of the whole utterance that hits the cap is a truncated
+        trace holding the loop oracle's offline hypothesis."""
         params = rigged_params(uni_cfg, seed=13, eos_logit=-1e9)
         frames = utterance(40, uni_cfg.feat_dim, seed=13)
         policy = dec.DecodePolicy(max_target_factor=0.0, max_target_slack=5)
-        with caplog.at_level(logging.WARNING, logger="streamst.decoder"):
-            hyp = dec.offline_translate(frames, params, uni_cfg, policy)
-        assert hyp == helpers.offline_translate_loop(frames, params, uni_cfg, policy)
-        assert "hit the length cap" in caplog.text
+        plan = SegmentationPlan("capped", 40, (40,))
+        trace = dec.simulate(frames, plan, policy, params, uni_cfg, "ulstm-reencode")
+        assert trace.truncated is True
+        assert len(trace.tokens) == 5
+        assert trace.hypothesis == helpers.offline_translate_loop(frames, params, uni_cfg, policy)
 
 
 class TestAgainstLoopOracles:

@@ -1,7 +1,6 @@
 """Tests for BLEU, average lagging, lagging difficulty, the corpus's alignment
 files, and trade-off rows."""
 
-import logging
 import math
 import random
 
@@ -293,10 +292,10 @@ class TestAlignmentFiles:
             sy.load_alignments(path, ["u0"], [2], [1])
 
 
-def record(utt_id, hyp, delays, duration, frames=100, wall=50):
+def record(utt_id, hyp, delays, duration, frames=100, wall=50, truncated=False):
     """A trace of one read of the whole utterance, which lasts duration ms."""
     return DecodeTrace(utt_id, hyp, reads=(1,), tokens=["x"] * len(delays), delays_ms=delays,
-                       frame_ms=duration, cost=EncodeCost(frames, 1, wall))
+                       frame_ms=duration, cost=EncodeCost(frames, 1, wall), truncated=truncated)
 
 
 class TestTradeoffTable:
@@ -317,13 +316,17 @@ class TestTradeoffTable:
                                   ({"strategy": "x", "k": 9}, lazy)], refs)
         assert rows[0].al_ms < rows[1].al_ms
 
-    def test_missing_reference_skipped_with_warning(self, caplog):
+    def test_missing_reference_refused(self):
+        """A row averaged over fewer utterances than its traces could not be
+        explained from them, so the table refuses it, naming the utterance."""
         refs = {"u0": "a"}
         traces = [record("u0", "a", [50.0], 50.0), record("zz", "b", [50.0], 50.0)]
-        with caplog.at_level(logging.WARNING):
-            rows = mt.tradeoff_table([({"strategy": "x"}, traces)], refs)
-        assert len(rows) == 1
-        assert any("zz" in r.message for r in caplog.records)
+        with pytest.raises(ConfigError, match="'zz'"):
+            mt.tradeoff_table([({"strategy": "x"}, traces)], refs)
+
+    def test_configuration_without_traces_refused(self):
+        with pytest.raises(ConfigError, match="no traces"):
+            mt.tradeoff_table([({"strategy": "x"}, [])], {"u0": "a"})
 
     def test_one_row_per_configuration(self):
         refs = {"u0": "a b"}
@@ -335,7 +338,7 @@ class TestTradeoffTable:
     def test_csv_layout(self, tmp_path):
         config = {"strategy": "ulstm-overlap", "k": 100, "s": 10, "N": 1,
                   "segmentation": "fixed"}
-        rows = [mt.TradeoffRow(config, 0.25, 512.5, 2995.0, 123456.0)]
+        rows = [mt.TradeoffRow(config, 0.25, 512.5, 2995.0, 123456.0, 1)]
         path = tmp_path / "table.csv"
         mt.write_tradeoff_csv(path, rows)
         lines = path.read_text().splitlines()
@@ -348,3 +351,9 @@ class TestTradeoffTable:
                   record("u1", "b", [10.0], 10.0, frames=300)]
         rows = mt.tradeoff_table([({"strategy": "x"}, traces)], refs)
         assert rows[0].frames_processed == 200.0
+
+    def test_truncated_counts_capped_utterances(self):
+        refs = {"u0": "a", "u1": "b", "u2": "c"}
+        traces = [record("u0", "a", [10.0], 10.0, truncated=True), record("u1", "b", [10.0], 10.0),
+                  record("u2", "c", [10.0], 10.0, truncated=True)]
+        assert mt.tradeoff_table([({"strategy": "x"}, traces)], refs)[0].truncated == 2

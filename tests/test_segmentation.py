@@ -1,7 +1,5 @@
 """Tests for read scheduling policies and the corpus's word-boundary files."""
 
-import logging
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -77,11 +75,9 @@ class TestOracleWordPlan:
     def test_no_words_reads_everything(self):
         assert seg.oracle_word_plan(60, [], k=0).boundaries == (60,)
 
-    def test_gap_logs_warning(self, caplog):
+    def test_gap_joins_next_word_read(self):
         spans = [seg.WordSpan(0, 40), seg.WordSpan(48, 80)]
-        with caplog.at_level(logging.WARNING):
-            seg.oracle_word_plan(80, spans, k=0, utt_id="u1")
-        assert any("uncovered" in r.message for r in caplog.records)
+        assert seg.oracle_word_plan(80, spans, k=0, utt_id="u1").boundaries == (40, 80)
 
     def test_overlapping_spans_rejected(self):
         spans = [seg.WordSpan(0, 40), seg.WordSpan(30, 60)]
