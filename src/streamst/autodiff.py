@@ -21,10 +21,12 @@ records the decoder's additive attention weights as one node: its forward
 and rule make the numpy calls of the seven ops it replaces, in their order,
 so its weights and gradients have their bits.  maxpool2d's forward is a chain
 of np.maximum; only its rule pays for the argmax.
-The conv2d forward adds its products into each output one at a time, in
-the order of a scalar loop, so its outputs are bit-identical to that loop's;
-the streaming equivalence checks rely on it.  numpy's reductions would sum
-in another order, pairwise where the reduced axis is contiguous.
+The conv2d forward adds each output's products in the order of a scalar
+loop, so its outputs are bit-identical to that loop's; the streaming
+equivalence checks rely on it.  It writes the products of a group of input
+channels as rows and adds them with one np.add.reduce over that outer axis,
+which adds whole rows in order; a reduce over a contiguous axis, or to one
+element, would sum pairwise.
 """
 
 from __future__ import annotations
@@ -418,33 +420,44 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
 # convolution and pooling
 
 
-_CONV_SCRATCH_BYTES = 1 << 18  # cap on one conv2d forward's tap products and their sums
+_CONV_SCRATCH_BYTES = 1 << 18  # cap on one conv2d forward's rows of tap products and sums
 
 
 def _sum_taps(taps, weights, start, cols) -> None:
     """cols[co, q] = start[co] + taps[0, 0, 0, 0, q] * weights[0, 0, 0, co, 0] + ...
 
-    Works through the columns in tiles that fit the products of every tap
-    and their sums into _CONV_SCRATCH_BYTES.  In each tile, one multiply per
-    input channel forms all of its tap products, and they are added in
-    place one at a time in (ci, i, j) row-major order.
+    Works through the columns in tiles as wide as one input channel's tap
+    products and their sums fit into _CONV_SCRATCH_BYTES, and through the
+    input channels in groups of as many as then fit.  For each group, one
+    multiply writes every tap product into rows 1... of a buffer whose row 0
+    holds the sums so far, starting from start, and one np.add.reduce over
+    that outer axis adds the rows elementwise in (ci, i, j) row-major order,
+    as a scalar loop does.  The reduce writes to a contiguous row of its
+    own; into a strided view of cols it runs slower.  A reduce to one
+    element would sum pairwise, so such a tile is widened by a zero column.
     """
     c_in, kh, kw, c_out, _ = weights.shape
-    n = cols.shape[1]
-    tile = min(n, max(1, _CONV_SCRATCH_BYTES // ((kh * kw + 1) * c_out * cols.itemsize)))
-    prods = np.empty(kh * kw * c_out * tile, dtype=cols.dtype)
-    sums = np.empty(c_out * tile, dtype=cols.dtype)
+    n, k, row = cols.shape[1], kh * kw, c_out * cols.itemsize
+    tile = min(n, max(1, _CONV_SCRATCH_BYTES // ((k + 1) * row)))
+    # a group's products, the sums so far and the reduce's output row
+    group = min(c_in, max(1, (_CONV_SCRATCH_BYTES // (tile * row) - 2) // k))
+    scratch = np.empty((group * k + 2) * c_out * max(tile, 2), dtype=cols.dtype)
     for q0 in range(0, n, tile):
         m = min(tile, n - q0)
-        prod = prods[:kh * kw * c_out * m].reshape(kh, kw, c_out, m)
-        out = sums[:c_out * m].reshape(c_out, m)
-        out[...] = start
-        for ci in range(c_in):
-            np.multiply(taps[ci, ..., q0:q0 + m], weights[ci], out=prod)
-            for i in range(kh):
-                for j in range(kw):
-                    out += prod[i, j]
-        cols[:, q0:q0 + m] = out
+        width = 2 if c_out * m == 1 else m
+        buf = scratch[:(group * k + 2) * c_out * width].reshape(group * k + 2, c_out, width)
+        sums, rows = buf[0], buf[1:]
+        prods = rows[1:].reshape(group, kh, kw, c_out, width)[..., :m]
+        if width > m:
+            rows[:, :, m:] = 0
+        rows[0, :, :m] = start
+        for c0 in range(0, c_in, group):
+            g = min(group, c_in - c0)
+            if c0:
+                rows[0] = sums
+            np.multiply(taps[c0:c0 + g, ..., q0:q0 + m], weights[c0:c0 + g], out=prods[:g])
+            np.add.reduce(rows[:g * k + 1], axis=0, out=sums)
+        cols[:, q0:q0 + m] = sums[:, :m]
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
@@ -454,10 +467,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     Odd kernel sizes only.  "same" pads with zeros so that the output keeps
     H and W; "valid" does not pad.  The forward works in a layout where the
     time axis H is contiguous.  Each output starts at its bias and adds its
-    products one at a time in (c_in, kh, kw) row-major order, so it is
-    bit-identical to a scalar loop.  It adds them in place, one tap at a
-    time, because np.add.reduce and np.sum may sum pairwise, and
-    np.add.accumulate keeps the order but is slower.  The backward sums in
+    products in (c_in, kh, kw) row-major order, so it is bit-identical to a
+    scalar loop: _sum_taps reduces rows of products over their outer axis,
+    which numpy adds row by row, never pairwise.  The backward sums in
     another order: reproducible, but not bit-identical to a loop.
     """
     if x.data.ndim != 3:

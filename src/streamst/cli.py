@@ -101,8 +101,8 @@ def _cmd_train(args) -> int:
                        seed=args.seed, holdout_fraction=args.holdout_fraction)
 
     def show(report):
-        print("epoch %d  loss/token %.4f  holdout BLEU %.4f"
-              % (report.epoch, report.mean_loss, report.holdout_bleu))
+        print("epoch %d  loss/token %.4f  holdout BLEU %.4f  truncated %d"
+              % (report.epoch, report.mean_loss, report.holdout_bleu, report.holdout_truncated))
 
     train(params, cfg, _examples_of(corpus), tcfg, on_epoch=show)
     save_checkpoint(args.model, cfg, params)
@@ -379,7 +379,8 @@ def _subset_rows(results: list, keep: set, references: dict, tokenize: str) -> l
 
 def _cmd_report(args) -> int:
     """Every table is computed before the output directory is made, so a
-    refused report writes nothing."""
+    refused report writes nothing.  Subsets are drawn from the utterances
+    that every configuration traced."""
     sweep, results = _read_sweep(args.sweep)
     corpus = load_corpus(args.data)
     tokenize = args.tokenize or sweep["tokenize"]
@@ -389,7 +390,10 @@ def _cmd_report(args) -> int:
     if args.subset_size:
         if not scores:
             raise ConfigError("--subset-size needs a corpus with alignments.txt")
-        hardest, easiest = extract_subsets(scores, args.subset_size)
+        traced = [{tr.utt_id for tr in traces} for _, traces in results]
+        common = set.intersection(*traced) if traced else set()
+        hardest, easiest = extract_subsets([sc for sc in scores if sc.utt_id in common],
+                                           args.subset_size)
         subsets = [(label, ids, _subset_rows(results, set(ids), corpus.targets, tokenize))
                    for label, ids in (("hardest", hardest), ("easiest", easiest))]
 

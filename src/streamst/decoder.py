@@ -138,8 +138,8 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
                        delays, frame_ms, stream.cost(), truncated, suppressed)
 
 
-def offline_translate(frames: np.ndarray, params: Parameters, cfg: ModelConfig,
-                      policy: DecodePolicy | None = None) -> str:
+def offline_trace(frames: np.ndarray, params: Parameters, cfg: ModelConfig,
+                  policy: DecodePolicy | None = None) -> DecodeTrace:
     """Greedy decoding over the fully encoded utterance.
 
     This is simulate with a plan that reads every frame at once, through the
@@ -149,7 +149,13 @@ def offline_translate(frames: np.ndarray, params: Parameters, cfg: ModelConfig,
     """
     strategy = "blstm-reencode" if cfg.bidirectional else "ulstm-reencode"
     plan = SegmentationPlan("", len(frames), (len(frames),))
-    return simulate(frames, plan, policy or DecodePolicy(), params, cfg, strategy).hypothesis
+    return simulate(frames, plan, policy or DecodePolicy(), params, cfg, strategy)
+
+
+def offline_translate(frames: np.ndarray, params: Parameters, cfg: ModelConfig,
+                      policy: DecodePolicy | None = None) -> str:
+    """The hypothesis of offline_trace."""
+    return offline_trace(frames, params, cfg, policy).hypothesis
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .decoder import offline_translate
+from .decoder import offline_trace
 from .errors import ConfigError, TrainingDivergedError
 from .metrics import bleu
 from .model import (BOS_ID, EOS_ID, ModelConfig, Parameters, Vocab,
@@ -73,8 +73,9 @@ class TrainConfig:
 @dataclass(frozen=True)
 class EpochReport:
     epoch: int
-    mean_loss: float       # cross entropy per target token, in nats
-    holdout_bleu: float    # character BLEU on greedy holdout decodes
+    mean_loss: float        # cross entropy per target token, in nats
+    holdout_bleu: float     # character BLEU on greedy holdout decodes
+    holdout_truncated: int  # holdout decodes that hit the length cap
 
 
 def utterance_loss(frames: np.ndarray, target: str, params: Parameters,
@@ -176,12 +177,14 @@ def _adam_step(params: Parameters, state: dict, tcfg: TrainConfig) -> None:
         p.data -= np.float32(lr_t) * m / (np.sqrt(v) + np.float32(ADAM_EPS))
 
 
-def holdout_score(held: list, params: Parameters, cfg: ModelConfig) -> float:
-    """Character BLEU of greedy decodes against the held-out targets."""
+def holdout_score(held: list, params: Parameters, cfg: ModelConfig) -> tuple:
+    """Character BLEU of greedy decodes against the held-out targets, and
+    the number of those decodes that hit the length cap."""
     if not held:
-        return float("nan")
-    hyps = [offline_translate(u.frames, params, cfg) for u in held]
-    return bleu(hyps, [u.target for u in held], tokenize="char")
+        return float("nan"), 0
+    traces = [offline_trace(u.frames, params, cfg) for u in held]
+    return (bleu([tr.hypothesis for tr in traces], [u.target for u in held], tokenize="char"),
+            sum(tr.truncated for tr in traces))
 
 
 def train(params: Parameters, cfg: ModelConfig, corpus: list,
@@ -225,9 +228,7 @@ def train(params: Parameters, cfg: ModelConfig, corpus: list,
                 epoch_tokens += n_tok
                 batch_tokens += n_tok
             _apply_update(params, opt_state, 1.0 / batch_tokens, tcfg)
-        report = EpochReport(epoch=epoch,
-                             mean_loss=epoch_loss / epoch_tokens,
-                             holdout_bleu=holdout_score(held, params, cfg))
+        report = EpochReport(epoch, epoch_loss / epoch_tokens, *holdout_score(held, params, cfg))
         reports.append(report)
         if on_epoch is not None:
             on_epoch(report)

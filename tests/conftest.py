@@ -56,7 +56,7 @@ def trained(monotone_corpus):
     train(params, cfg, monotone_corpus, FINE_RECIPE)
     seconds = time.monotonic() - begin
     _, held = split_holdout(monotone_corpus, WARM_RECIPE.holdout_fraction)
-    offline = holdout_score(held, params, cfg)
+    offline, _ = holdout_score(held, params, cfg)
     return cfg, params, held, offline, seconds
 
 

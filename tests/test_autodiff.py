@@ -198,16 +198,30 @@ class TestConv2d:
         assert got.shape == want.shape
         assert np.array_equal(got, want), "conv forward differs from the scalar loop"
 
-    def test_single_output_sums_its_terms_in_loop_order(self):
-        # bias + 25 products: 1e8 + 1 rounds back to 1e8, -1e8 cancels it,
-        # and the 23 ones that follow give 23; a pairwise sum gives another value
-        x = np.ones((1, 5, 5), dtype=np.float32)
+    @pytest.mark.parametrize("c_in, side", [(1, 5), (4, 3)])
+    def test_single_output_sums_its_terms_in_loop_order(self, c_in, side):
+        # bias + c_in * side**2 products: 1e8 + 1 rounds back to 1e8, -1e8
+        # cancels it, and the ones that follow count up from 0; a pairwise
+        # sum of the terms, as a reduce to one element makes, gives another
+        # value
+        x = np.ones((c_in, side, side), dtype=np.float32)
         x[0, 0, 1] = -1e8
-        k = np.ones((1, 1, 5, 5), dtype=np.float32)
+        k = np.ones((1, c_in, side, side), dtype=np.float32)
         b = np.array([1e8], dtype=np.float32)
+        want = [[[c_in * side * side - 2.0]]]
         got = ad.conv2d(t(x), t(k), t(b), padding="valid").data
-        assert helpers.conv2d_loop(x, k, b, padding="valid").tolist() == [[[23.0]]]
-        assert got.tolist() == [[[23.0]]]
+        assert helpers.conv2d_loop(x, k, b, padding="valid").tolist() == want
+        assert got.tolist() == want
+
+    def test_channel_groups_carry_their_sums(self):
+        # 8 outputs over 40x8 "same" give 334 columns, and 256 KiB of scratch
+        # then holds the products of two input channels: groups of 2, 2 and 1
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((5, 40, 8)).astype(np.float32)
+        k = rng.standard_normal((8, 5, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(8).astype(np.float32)
+        got = ad.conv2d(t(x), t(k), t(b)).data
+        assert np.array_equal(got, helpers.conv2d_loop(x, k, b))
 
     def test_forward_scratch_is_bounded(self):
         # One forward holds the padded input, an accumulator and the output,

@@ -13,14 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamst import cli, training
-from streamst.decoder import read_traces
+from streamst.decoder import offline_trace, read_traces
 from streamst.encoding import STRATEGIES
 from streamst.metrics import CONFIG_FIELDS, TRADEOFF_COLUMNS
 from streamst.errors import ConfigError, InsufficientFramesError
 from streamst.model import load_checkpoint
 from streamst.segmentation import WordSpan
 from streamst.synthetic import (SyntheticSpec, generate_corpus, load_corpus, read_features,
-                                save_corpus, write_features)
+                                save_corpus, split_holdout, write_features)
 
 GEN_ARGS = ["--utterances", "10", "--min-len", "4", "--max-len", "8",
             "--seed", "1", "--frames-per-symbol", "4", "--feat-dim", "6"]
@@ -415,6 +415,38 @@ def test_report_refuses_what_it_cannot_score_and_writes_nothing(
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_report_draws_subsets_from_the_traced_utterances(corpus_dir, model_path, tmp_path,
+                                                         capsys):
+    """A sweep over 4 of the corpus's 10 utterances, reported against all 10:
+    the subsets hold only traced utterances, and a larger one is refused."""
+    data = copy_corpus(corpus_dir, tmp_path / "data", drop=6, alignments=False)
+    sweep = tmp_path / "sweep"
+    assert run_simulate(data, model_path, sweep, ["--k", "8", "--s", "16"]) == 0
+    report = ["report", "--sweep", str(sweep), "--data", str(corpus_dir), "--out"]
+    out = tmp_path / "rep"
+    assert cli.main(report + [str(out), "--subset-size", "6"]) == 2
+    assert "subset of 6 from only 4 scores" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(report + [str(out), "--subset-size", "4"]) == 0
+    for label in ("hardest", "easiest"):
+        ids = (out / ("subset_%s.txt" % label)).read_text().split()
+        assert sorted(ids) == sorted(load_corpus(data).ids)
+        assert (out / ("curves_%s.csv" % label)).read_bytes() == \
+            (out / "curves.csv").read_bytes()
+
+
+def test_train_prints_each_epochs_holdout_truncations(corpus_dir, tmp_path, capsys):
+    model = tmp_path / "m.ckpt"
+    assert cli.main(["train", "--data", str(corpus_dir), "--model", str(model)]
+                    + TRAIN_ARGS) == 0
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("epoch 1 ")]
+    cfg, params = load_checkpoint(model)
+    _, held = split_holdout(cli._examples_of(load_corpus(corpus_dir)), 0.2)
+    capped = sum(offline_trace(u.frames, params, cfg).truncated for u in held)
+    assert capped > 0
+    assert line.endswith("truncated %d" % capped)
 
 
 def test_no_command_logs_a_record(corpus_dir, model_path, tmp_path, caplog):

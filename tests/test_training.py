@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from streamst import autodiff as ad
+from streamst.decoder import offline_trace
 from streamst.errors import ConfigError, TrainingDivergedError
 from streamst.model import (BOS_ID, EOS_ID, ModelConfig, Vocab, create_parameters,
                             decode_step, encode_utterance, init_decoder_state)
-from streamst.synthetic import SyntheticSpec, generate_corpus
+from streamst.synthetic import SyntheticSpec, generate_corpus, split_holdout
 from streamst.training import (EpochReport, TrainConfig, _apply_update,
                                _global_norm, train, utterance_loss)
 
@@ -168,6 +169,16 @@ def test_holdout_fraction_reports_a_score(cfg, params, corpus):
     reports = train(params, cfg, corpus, tcfg)
     assert len(reports) == 1
     assert 0.0 <= reports[0].holdout_bleu <= 1.0
+
+
+def test_holdout_decodes_that_hit_the_length_cap_are_counted(cfg, params, corpus):
+    (report,) = train(params, cfg, corpus,
+                      TrainConfig(epochs=1, batch_size=4, holdout_fraction=0.25))
+    _, held = split_holdout(corpus, 0.25)
+    capped = sum(offline_trace(u.frames, params, cfg).truncated for u in held)
+    assert report.holdout_truncated == capped > 0
+    (report,) = train(params, cfg, corpus, TrainConfig(epochs=1, holdout_fraction=0.0))
+    assert report.holdout_truncated == 0
 
 
 def test_training_is_deterministic(cfg, corpus):
