@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoder import (FRAME_MS, DecodePolicy, check_frame_ms, offline_translate,
-                      read_traces, simulate, write_traces)
+from .decoder import DecodePolicy, offline_translate, read_traces, simulate, write_traces
 from .encoding import STRATEGIES, check_strategy
 from .errors import ConfigError, ContractError, parse_json, read_text, typed_field
 from .metrics import (CONFIG_FIELDS, TOKENIZE_MODES, bleu, check_tokenize, extract_subsets,
@@ -175,19 +174,17 @@ def _build_plan(config: dict, total_frames: int, spans, seed: int, utt_id: str):
 _POOL: dict = {}
 
 
-def _pool_init(cfg, params, frame_ms):
-    _POOL.update(cfg=cfg, params=params, frame_ms=frame_ms)
+def _pool_init(cfg, params):
+    _POOL.update(cfg=cfg, params=params)
 
 
 def _pool_run(task):
     frames, plan, policy, strategy = task
-    return simulate(frames, plan, policy, _POOL["params"], _POOL["cfg"], strategy,
-                    _POOL["frame_ms"])
+    return simulate(frames, plan, policy, _POOL["params"], _POOL["cfg"], strategy)
 
 
 def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
-              frame_ms: float = FRAME_MS, tokenize: str = "word",
-              workers: int = 1) -> list:
+              tokenize: str = "word", workers: int = 1) -> list:
     """Simulate every job over the corpus; write traces, index, and table.
 
     Returns the aggregated trade-off rows, computed from the traces in
@@ -198,10 +195,11 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
     holds the CONFIG_FIELDS with their types, a known segmentation (s = 0
     for words), a strategy the model runs, N >= 1 and a configuration no
     other job has (both would write one trace file), every plan can be
-    built, frame_ms and tokenize are valid, and every simulation completes.
+    built, tokenize is valid, workers >= 1, and every simulation completes.
     """
-    check_frame_ms(frame_ms)
     check_tokenize(tokenize)
+    if workers < 1:
+        raise ConfigError("workers must be at least 1, got %r" % (workers,))
     if not corpus.ids:
         raise ConfigError("sweep needs a corpus with at least one utterance")
     configs = [_config(job, "sweep job %d" % j) for j, job in enumerate(jobs)]
@@ -228,10 +226,10 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
              for j, config in enumerate(configs) for i, utt_id in enumerate(corpus.ids)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(cfg, params, frame_ms)) as pool:
+                                 initargs=(cfg, params)) as pool:
             traces = list(pool.map(_pool_run, tasks))
     else:
-        _pool_init(cfg, params, frame_ms)
+        _pool_init(cfg, params)
         traces = list(map(_pool_run, tasks))
     n = len(corpus.ids)
     results = [(config, traces[j * n:(j + 1) * n]) for j, config in enumerate(configs)]
@@ -240,7 +238,7 @@ def run_sweep(jobs: list, corpus, params, cfg, out_dir, seed: int = 0,
     for (config, records), name in zip(results, names):
         write_traces(out / name, records)
     index = [{**config, "trace": name, "utterances": n} for config, name in zip(configs, names)]
-    sweep = {"frame_ms": frame_ms, "tokenize": tokenize, "seed": seed, "jobs": index}
+    sweep = {"tokenize": tokenize, "seed": seed, "jobs": index}
     (out / "sweep.json").write_text(json.dumps(sweep, indent=2, sort_keys=True) + "\n",
                                     encoding="utf-8")
     rows = tradeoff_table(results, corpus.targets, tokenize=tokenize)
@@ -253,8 +251,7 @@ def _cmd_simulate(args) -> int:
     corpus = load_corpus(args.data)
     jobs = _sweep_jobs(args)
     rows = run_sweep(jobs, corpus, params, cfg, args.out, seed=args.seed,
-                     frame_ms=args.frame_ms, tokenize=args.tokenize,
-                     workers=args.workers)
+                     tokenize=args.tokenize, workers=args.workers)
     print("ran %d configurations over %d utterances; table at %s"
           % (len(jobs), len(corpus.ids), Path(args.out) / "tradeoff.csv"))
     for row in rows:
@@ -507,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", nargs="+", default=["5:10"],
                    help="low:high chunk sizes (random segmentation)")
     p.add_argument("--tokenize", choices=TOKENIZE_MODES, default="word")
-    p.add_argument("--frame-ms", type=float, default=FRAME_MS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
                    help="processes for the sweep (1 = run inline)")

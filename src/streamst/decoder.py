@@ -23,7 +23,9 @@ from .model import (BOS_ID, EOS_ID, NUM_SPECIALS, ModelConfig, Parameters, Vocab
                     decode_step, init_decoder_state)
 from .segmentation import SegmentationPlan
 
-FRAME_MS = 10.0  # default frame duration
+# Every time in ms is a frame count times FRAME_MS.  The synthetic corpus has
+# no clock of its own, so a frame lasts the 10 ms hop of speech features.
+FRAME_MS = 10.0
 
 _SPECIAL_TEXT = {0: "<pad>", 1: "<bos>", 2: "<eos>"}
 
@@ -54,7 +56,6 @@ class DecodeTrace:
     reads: tuple          # the plan's boundaries: frames read so far after each read
     tokens: list          # text of each written token, specials included
     delays_ms: list       # when each token was written, from utterance start
-    frame_ms: float
     cost: EncodeCost
     truncated: bool = False
     suppressed_eos: int = 0
@@ -63,7 +64,7 @@ class DecodeTrace:
 
     @property
     def duration_ms(self) -> float:
-        return self.reads[-1] * self.frame_ms
+        return self.reads[-1] * FRAME_MS
 
 
 def _token_text(vocab: Vocab, token: int) -> str:
@@ -72,15 +73,8 @@ def _token_text(vocab: Vocab, token: int) -> str:
     return vocab.decode([token])
 
 
-def check_frame_ms(frame_ms: float, where: str = "frame_ms") -> None:
-    """A frame lasts a positive, finite time; no trace file holds another."""
-    if not 0 < frame_ms < float("inf"):
-        raise ConfigError("%s must be positive and finite, got %r" % (where, frame_ms))
-
-
 def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
-             params: Parameters, cfg: ModelConfig, strategy: str,
-             frame_ms: float = FRAME_MS) -> DecodeTrace:
+             params: Parameters, cfg: ModelConfig, strategy: str) -> DecodeTrace:
     """Run the full read/write loop for one utterance and return its trace.
 
     After each read the decoder writes greedily over the current encoder
@@ -89,7 +83,6 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
     uncommitted.  The final read writes until end-of-sequence or the length
     cap, and reaching the cap there marks the trace truncated.
     """
-    check_frame_ms(frame_ms)
     frames = np.asarray(frames, dtype=np.float32)
     if len(frames) != plan.total_frames:
         raise ConfigError("plan covers %d frames, utterance has %d"
@@ -109,7 +102,7 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
         is_last = idx == n_bounds - 1
         stream.feed(frames[consumed:bound], is_last=is_last)
         consumed = bound
-        ms = bound * frame_ms
+        ms = bound * FRAME_MS
         enc = stream.outputs
         if enc is None:
             if is_last:
@@ -135,7 +128,7 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
             tokens.append(_token_text(vocab, token))
             delays.append(ms)
     return DecodeTrace(plan.utt_id, vocab.decode(out_ids), tuple(plan.boundaries), tokens,
-                       delays, frame_ms, stream.cost(), truncated, suppressed)
+                       delays, stream.cost(), truncated, suppressed)
 
 
 def offline_trace(frames: np.ndarray, params: Parameters, cfg: ModelConfig,
@@ -168,7 +161,7 @@ def _trace_lines(tr: DecodeTrace):
     then a summary.  A write that follows no read is a ContractError."""
     utt, n, placed, prev = tr.utt_id, min(len(tr.tokens), len(tr.delays_ms)), 0, 0
     for g in tr.reads:
-        ms = g * tr.frame_ms
+        ms = g * FRAME_MS
         yield json.dumps({"utt": utt, "event": "R", "frames": g - prev, "g": g, "ms": ms})
         prev = g
         while placed < n and tr.delays_ms[placed] == ms:
@@ -179,8 +172,8 @@ def _trace_lines(tr: DecodeTrace):
         raise ContractError("trace %r places %d of its %d tokens and %d delays after a read"
                             % (utt, placed, len(tr.tokens), len(tr.delays_ms)))
     cost = tr.cost
-    yield json.dumps({"utt": utt, "hyp": tr.hypothesis, "frame_ms": tr.frame_ms,
-                      "truncated": tr.truncated, "suppressed_eos": tr.suppressed_eos,
+    yield json.dumps({"utt": utt, "hyp": tr.hypothesis, "truncated": tr.truncated,
+                      "suppressed_eos": tr.suppressed_eos,
                       "cost": {"frames_processed": cost.frames_processed,
                                "chunks": cost.chunks, "wall_ns": cost.wall_ns}})
 
@@ -222,11 +215,8 @@ def read_traces(path) -> list:
                 delays.append(ms)
         elif "hyp" in obj:
             cost = typed_field(obj, "cost", (dict,), where)
-            frame_ms = typed_field(obj, "frame_ms", (int, float), where)
-            check_frame_ms(frame_ms, where + ": frame_ms")
             record = DecodeTrace(
                 utt, typed_field(obj, "hyp", (str,), where), tuple(reads), tokens, delays,
-                frame_ms,
                 EncodeCost(*(typed_field(cost, key, (int,), where)
                              for key in ("frames_processed", "chunks", "wall_ns"))),
                 typed_field(obj, "truncated", (bool,), where),

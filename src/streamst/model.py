@@ -83,8 +83,9 @@ class ModelConfig:
             raise ConfigError("feat_dim must be at least 4, got %d" % self.feat_dim)
         if len(self.vgg_channels) != 2 or any(c < 1 for c in self.vgg_channels):
             raise ConfigError("vgg_channels must be two positive values")
-        if self.enc_layers < 1 or self.hidden < 1:
-            raise ConfigError("enc_layers and hidden must be positive")
+        for name in ("enc_layers", "hidden", "attn_dim", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError("%s must be positive, got %r" % (name, getattr(self, name)))
         if not self.vocab:
             raise ConfigError("vocab must not be empty")
 

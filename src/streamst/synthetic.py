@@ -50,8 +50,12 @@ class SyntheticSpec:
             raise ConfigError("alphabet must be unique letters without spaces")
         if self.feat_dim < 4:
             raise ConfigError("feat_dim must be at least 4")
-        if self.feature_scale <= 0:
-            raise ConfigError("feature_scale must be positive")
+        if not 0 < self.feature_scale < float("inf"):
+            raise ConfigError("feature_scale must be positive and finite, got %r"
+                              % (self.feature_scale,))
+        if not 0 <= self.noise_sigma < float("inf"):
+            raise ConfigError("noise_sigma must be non-negative and finite, got %r"
+                              % (self.noise_sigma,))
 
     @property
     def target_vocab(self) -> str:

@@ -57,15 +57,22 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError("epochs must not be negative")
-        if self.lr <= 0 or self.batch_size < 1:
-            raise ConfigError("lr must be positive and batch_size at least 1")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be positive and finite, got %r" % (self.lr,))
+        if not self.grad_clip > 0:  # inf means no clipping; nan is refused
+            raise ConfigError("grad_clip must be positive, got %r" % (self.grad_clip,))
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be at least 1")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError("momentum must be within [0, 1)")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError("optimizer must be one of %s, got %r"
                               % ("/".join(OPTIMIZERS), self.optimizer))
-        if self.guide_epochs < 0 or self.guide_weight < 0:
-            raise ConfigError("guide_epochs and guide_weight must not be negative")
+        if self.guide_epochs < 0:
+            raise ConfigError("guide_epochs must not be negative")
+        if not 0 <= self.guide_weight < math.inf:
+            raise ConfigError("guide_weight must be non-negative and finite, got %r"
+                              % (self.guide_weight,))
         if not (0.0 <= self.holdout_fraction < 1.0):
             raise ConfigError("holdout_fraction must be within [0, 1)")
 

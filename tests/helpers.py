@@ -73,7 +73,7 @@ def conv2d_backward_loop(x, k, g, padding="same"):
     return dxp[:, ph:ph + h, pw:pw + w], dk, g.sum(axis=(1, 2))
 
 
-def simulate_loop(frames, plan, policy, params, cfg, strategy, frame_ms=dec.FRAME_MS):
+def simulate_loop(frames, plan, policy, params, cfg, strategy):
     """Read/write loop oracle with one greedy loop per kind of read."""
     frames = np.asarray(frames, dtype=np.float32)
     if len(frames) != plan.total_frames:
@@ -113,7 +113,7 @@ def simulate_loop(frames, plan, policy, params, cfg, strategy, frame_ms=dec.FRAM
                 prev = token
                 out_ids.append(token)
                 tokens.append(dec._token_text(vocab, token))
-                delays.append(bound * frame_ms)
+                delays.append(bound * dec.FRAME_MS)
         else:
             while True:
                 if len(out_ids) >= policy.cap(stream.positions):
@@ -127,11 +127,10 @@ def simulate_loop(frames, plan, policy, params, cfg, strategy, frame_ms=dec.FRAM
                 prev = token
                 out_ids.append(token)
                 tokens.append(dec._token_text(vocab, token))
-                delays.append(bound * frame_ms)
+                delays.append(bound * dec.FRAME_MS)
     return dec.DecodeTrace(utt_id=plan.utt_id, hypothesis=vocab.decode(out_ids),
                            reads=tuple(plan.boundaries), tokens=tokens, delays_ms=delays,
-                           frame_ms=frame_ms, cost=stream.cost(),
-                           truncated=truncated, suppressed_eos=suppressed)
+                           cost=stream.cost(), truncated=truncated, suppressed_eos=suppressed)
 
 
 def offline_translate_loop(frames, params, cfg, policy=None):

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import logging
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -120,6 +121,26 @@ def test_train_exempts_reversed_utterances_from_the_guide(tmp_path, monkeypatch)
     assert len(weights) == 10  # two of the twelve are held out
     for target, weight in weights.items():
         assert weight == (0.0 if target in reversed_targets else 0.5), target
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--feature-scale", "nan", "feature_scale"), ("--noise-sigma", "nan", "noise_sigma"),
+    ("--noise-sigma", "-1", "noise_sigma"),
+])
+def test_generate_refuses_features_no_model_can_read(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(out), flag, value] + GEN_ARGS) == 2
+    assert "error: %s must be" % field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_a_negative_grad_clip(corpus_dir, tmp_path, capsys):
+    """grad_clip -1 would turn every update into gradient ascent."""
+    path = tmp_path / "m.ckpt"
+    assert cli.main(["train", "--data", str(corpus_dir), "--model", str(path),
+                     "--grad-clip", "-1"] + TRAIN_ARGS) == 2
+    assert "error: grad_clip must be positive, got -1.0" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_train_writes_a_loadable_checkpoint(model_path):
@@ -493,18 +514,14 @@ def test_report_rejects_a_malformed_sweep_index(corpus_dir, model_path, tmp_path
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("frame_ms", [0.0, -10.0, float("nan"), float("inf")])
-def test_sweep_rejects_a_frame_ms_that_is_not_positive_and_finite(corpus_dir, model_path,
-                                                                  tmp_path, monkeypatch,
-                                                                  frame_ms):
-    """Before any simulation runs or any file is written."""
-    cfg, params = load_checkpoint(model_path)
-    monkeypatch.setattr(cli, "simulate", None)
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_refuses_fewer_than_one_worker(corpus_dir, model_path, tmp_path, capsys,
+                                                 workers):
+    """No worker count below one quietly runs the sweep inline."""
     out = tmp_path / "sweep"
-    with pytest.raises(ConfigError, match="frame_ms must be positive and finite"):
-        cli.run_sweep([{"strategy": "ulstm-reencode", "segmentation": "fixed", "k": 8,
-                        "s": 8, "N": 1}], load_corpus(corpus_dir), params, cfg, out,
-                      frame_ms=frame_ms)
+    assert run_simulate(corpus_dir, model_path, out, ["--workers", workers]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: workers must be at least 1, got %s" % workers]
     assert not out.exists()
 
 
@@ -675,3 +692,36 @@ def test_config_file_must_exist(tmp_path, capsys):
                    "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "gone.json" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def walkthrough_commands(readme: str) -> list:
+    """The arguments of each streamst command in README's walkthrough block,
+    with continuation lines joined and a leading VAR=value dropped."""
+    section = readme.split("## Command-line walkthrough", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        while argv and "=" in argv[0] and argv[0].split("=", 1)[0].isidentifier():
+            argv = argv[1:]
+        if argv and argv[0] == "streamst":
+            commands.append(argv[1:])
+    return commands
+
+
+def test_readme_walkthrough_parses():
+    """Every command the walkthrough shows is one the parser accepts, and
+    it shows every subcommand."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = walkthrough_commands(readme)
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("README runs streamst %s, which the parser refuses" % " ".join(argv))
+    assert {argv[0] for argv in commands} == set(parser.sub_commands)

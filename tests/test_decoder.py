@@ -57,10 +57,10 @@ def rigged_params(cfg, seed, eos_logit):
 def check_trace_shape(trace, plan, n_tokens_per_write):
     """Structural invariants every trace must satisfy."""
     assert trace.reads == plan.boundaries
-    assert trace.duration_ms == plan.total_frames * trace.frame_ms
+    assert trace.duration_ms == plan.total_frames * dec.FRAME_MS
     assert len(trace.tokens) == len(trace.delays_ms)
     assert trace.delays_ms == sorted(trace.delays_ms)
-    read_times = [g * trace.frame_ms for g in trace.reads]
+    read_times = [g * dec.FRAME_MS for g in trace.reads]
     assert set(trace.delays_ms) <= set(read_times)
     for ms in read_times[:-1]:
         assert trace.delays_ms.count(ms) <= n_tokens_per_write
@@ -71,15 +71,15 @@ def expected_lines(trace):
     each read, the writes made at its time, then the summary."""
     out, prev, writes = [], 0, list(zip(trace.tokens, trace.delays_ms))
     for g in trace.reads:
-        ms = g * trace.frame_ms
+        ms = g * dec.FRAME_MS
         out.append({"utt": trace.utt_id, "event": "R", "frames": g - prev, "g": g, "ms": ms})
         prev = g
         while writes and writes[0][1] == ms:
             out.append({"utt": trace.utt_id, "event": "W", "token": writes.pop(0)[0],
                         "g": g, "ms": ms})
     assert not writes
-    out.append({"utt": trace.utt_id, "hyp": trace.hypothesis, "frame_ms": trace.frame_ms,
-                "truncated": trace.truncated, "suppressed_eos": trace.suppressed_eos,
+    out.append({"utt": trace.utt_id, "hyp": trace.hypothesis, "truncated": trace.truncated,
+                "suppressed_eos": trace.suppressed_eos,
                 "cost": {"frames_processed": trace.cost.frames_processed,
                          "chunks": trace.cost.chunks, "wall_ns": trace.cost.wall_ns}})
     return out
@@ -130,25 +130,18 @@ class TestSimulate:
         frames = utterance(40, uni_cfg.feat_dim, seed=5)
         plan = fixed_plan(40, k=8, s=8)
         trace = dec.simulate(frames, plan, dec.DecodePolicy(), uni_params, uni_cfg,
-                             "ulstm-reencode", frame_ms=10.0)
+                             "ulstm-reencode")
         assert trace.delays_ms
         dec.write_traces(tmp_path / "t.jsonl", [trace])
         for line in (tmp_path / "t.jsonl").read_text().splitlines()[:-1]:
             e = json.loads(line)
-            assert e["ms"] == e["g"] * 10.0
+            assert e["ms"] == e["g"] * dec.FRAME_MS
 
     def test_plan_length_mismatch(self, uni_cfg, uni_params):
         frames = utterance(40, uni_cfg.feat_dim)
         with pytest.raises(ConfigError):
             dec.simulate(frames, fixed_plan(48, k=8, s=8), dec.DecodePolicy(),
                          uni_params, uni_cfg, "ulstm-reencode")
-
-    @pytest.mark.parametrize("frame_ms", [float("nan"), 0.0, -10.0])
-    def test_frame_ms_must_be_positive_and_finite(self, uni_cfg, uni_params, frame_ms):
-        """Such a frame_ms gives delays no trace file can hold."""
-        with pytest.raises(ConfigError, match="frame_ms must be positive and finite"):
-            dec.simulate(utterance(40, 8), fixed_plan(40, 8, 8), dec.DecodePolicy(),
-                         uni_params, uni_cfg, "ulstm-reencode", frame_ms=frame_ms)
 
     def test_too_short_utterance_raises(self, uni_cfg, uni_params):
         frames = utterance(3, uni_cfg.feat_dim)
@@ -206,7 +199,7 @@ class TestEosHandling:
         policy = dec.DecodePolicy(write_tokens=3)
         trace = dec.simulate(frames, plan, policy, params, uni_cfg, "ulstm-reencode")
         for bound in plan.boundaries[:-1]:
-            assert trace.delays_ms.count(bound * trace.frame_ms) == 3
+            assert trace.delays_ms.count(bound * dec.FRAME_MS) == 3
 
     def test_offline_cap_sets_truncated(self, uni_cfg):
         """One read of the whole utterance that hits the cap is a truncated
@@ -292,7 +285,7 @@ class TestTraceFiles:
             else:
                 assert set(obj) == {"utt", "event", "token", "g", "ms"}
         final = lines[-1]
-        assert set(final) == {"utt", "hyp", "frame_ms", "truncated", "suppressed_eos", "cost"}
+        assert set(final) == {"utt", "hyp", "truncated", "suppressed_eos", "cost"}
         assert set(final["cost"]) == {"frames_processed", "chunks", "wall_ns"}
 
     def test_truncated_file_rejected(self, uni_cfg, uni_params, tmp_path):
@@ -342,7 +335,7 @@ class TestTraceFiles:
             dec.read_traces(path)
 
     R_EVENT = '{"utt": "a", "event": "R", "frames": 16, "g": 16, "ms": 160.0}'
-    SUMMARY = ('{"utt": "a", "hyp": "x", "frame_ms": 10.0, "truncated": false, '
+    SUMMARY = ('{"utt": "a", "hyp": "x", "truncated": false, '
                '"suppressed_eos": 0, "cost": {"frames_processed": 16, "chunks": 1, '
                '"wall_ns": 5}}')
     W_EVENT = '{"utt": "a", "event": "W", "token": "x", "g": 16, "ms": 160.0}'
@@ -363,22 +356,16 @@ class TestTraceFiles:
          "line 1 is not the line its record writes"),
         ([R_EVENT, W_EVENT.replace("160.0", "240.0"), SUMMARY],
          "line 3: trace 'a' places 0 of its 1 tokens and 1 delays after a read"),
-        ([R_EVENT, SUMMARY.replace("10.0", "10")], "line 1 is not the line its record writes"),
         ([R_EVENT.replace('"g": 16', '"g": 1' + "0" * 400), SUMMARY],
          "line 2: int too large to convert to float"),
         ([R_EVENT.replace('"a"', "5"), SUMMARY.replace('"a"', "5")], "line 1: utt must be str, got 5"),
         (["[]"], "line 1: utt must be str, got None"),
-        ([R_EVENT.replace("160.0", "-160.0"), SUMMARY.replace("10.0", "-10.0")],
-         "line 2: frame_ms must be positive and finite, got -10.0"),
-        ([R_EVENT.replace("160.0", "0"), SUMMARY.replace("10.0", "0")],
-         "line 2: frame_ms must be positive and finite, got 0"),
-        ([R_EVENT.replace("160.0", "NaN"), SUMMARY.replace("10.0", "NaN")],
-         "line 2: frame_ms must be positive and finite, got nan"),
+        ([R_EVENT, SUMMARY.replace('"hyp": "x", ', '"hyp": "x", "frame_ms": 10.0, ')],
+         "line 2 is not the line its record writes"),
     ], ids=["summary-without-cost", "cost-not-an-object", "event-without-ms", "ms-a-string",
             "summary-without-suppressed-eos", "truncated-not-a-bool", "chunks-a-float",
-            "read-time-off-its-frame", "write-at-no-read-time", "frame-ms-an-int",
-            "g-past-every-float", "utt-an-int", "line-not-an-object", "frame-ms-negative",
-            "frame-ms-zero", "frame-ms-nan"])
+            "read-time-off-its-frame", "write-at-no-read-time", "g-past-every-float",
+            "utt-an-int", "line-not-an-object", "summary-holding-a-frame-duration"])
     def test_malformed_record_rejected(self, tmp_path, lines, message):
         """A record missing a field, or holding one of the wrong type, or
         lines other than the ones its record writes, is a ConfigError naming
@@ -396,17 +383,15 @@ TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)  # lone surro
 @st.composite
 def trace_records(draw):
     """Arbitrary consistent traces: increasing reads, writes at read times."""
-    frame_ms = draw(st.sampled_from([0.1, 12.5, 10.0, 1 / 3])
-                    | st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
     reads = tuple(sorted(draw(st.sets(st.integers(1, 5000), min_size=1, max_size=6))))
     tokens, delays = [], []
     for g in reads:
         for _ in range(draw(st.integers(0, 3))):
             tokens.append(draw(st.sampled_from(["<pad>", "<bos>", "a", '"', "\n"]) | TEXT))
-            delays.append(g * frame_ms)
+            delays.append(g * dec.FRAME_MS)
     utt_id = draw(st.sampled_from(['say "hi"', "two\nlines", "\ud800", ""]) | TEXT)
     counts = st.integers(0, 2 ** 63)
-    return dec.DecodeTrace(utt_id, draw(TEXT), reads, tokens, delays, frame_ms,
+    return dec.DecodeTrace(utt_id, draw(TEXT), reads, tokens, delays,
                            EncodeCost(draw(counts), draw(counts), draw(counts)),
                            draw(st.booleans()), draw(st.integers(0, 1000)))
 
@@ -422,10 +407,9 @@ class TestTraceRoundTrip:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(strategy=st.sampled_from(STRATEGIES), t_len=st.integers(4, 72),
            cuts=st.lists(st.integers(1, 71), max_size=8), write_tokens=st.integers(1, 3),
-           eos_logit=st.sampled_from([None, 1e9, -1e9]),
-           frame_ms=st.sampled_from([0.1, 12.5, 10.0]) | st.floats(1e-3, 1e3))
+           eos_logit=st.sampled_from([None, 1e9, -1e9]))
     def test_simulated_traces(self, uni_cfg, bi_cfg, tmp_path, strategy, t_len, cuts,
-                              write_tokens, eos_logit, frame_ms):
+                              write_tokens, eos_logit):
         cfg = bi_cfg if strategy == "blstm-reencode" else uni_cfg
         params = (md.create_parameters(cfg, seed=1) if eos_logit is None
                   else rigged_params(cfg, 1, eos_logit))
@@ -433,16 +417,16 @@ class TestTraceRoundTrip:
         bounds = tuple(sorted({c for c in cuts if c < t_len})) + (t_len,)
         plan = SegmentationPlan("sim", t_len, bounds)
         trace = dec.simulate(frames, plan, dec.DecodePolicy(write_tokens=write_tokens),
-                             params, cfg, strategy, frame_ms=frame_ms)
+                             params, cfg, strategy)
         check_trace_shape(trace, plan, write_tokens)
         check_round_trip(tmp_path / "sim.jsonl", [trace])
 
     def test_write_at_no_read_time_rejected(self, tmp_path):
         """A record whose writes could not be placed after a read is not
         written silently short."""
-        bad = dec.DecodeTrace("a", "x", (16,), ["x"], [170.0], 10.0, EncodeCost(16, 1, 5))
+        bad = dec.DecodeTrace("a", "x", (16,), ["x"], [170.0], EncodeCost(16, 1, 5))
         with pytest.raises(ContractError, match="places 0 of its 1 tokens and 1 delays"):
             dec.write_traces(tmp_path / "bad.jsonl", [bad])
-        short = dec.DecodeTrace("a", "x", (16,), ["x", "y"], [160.0], 10.0, EncodeCost(16, 1, 5))
+        short = dec.DecodeTrace("a", "x", (16,), ["x", "y"], [160.0], EncodeCost(16, 1, 5))
         with pytest.raises(ContractError, match="places 1 of its 2 tokens and 1 delays"):
             dec.write_traces(tmp_path / "bad.jsonl", [short])

@@ -65,11 +65,11 @@ def files(tmp_path_factory):
     spec = SyntheticSpec(frames_per_symbol=4, feat_dim=4)
     save_corpus(root / "corpus", generate_corpus(spec, 3, 3, 7, reversal_fraction=0.5, seed=2))
     traces = [DecodeTrace("ué", "é b", (8, 12), ["é", " ", "b"], [80.0, 120.0, 120.0],
-                          10.0, EncodeCost(12, 2, 7), False, 1),
-              DecodeTrace("v", "", (4,), [], [], 12.5, EncodeCost(4, 1, 3), True, 0)]
+                          EncodeCost(12, 2, 7), False, 1),
+              DecodeTrace("v", "", (4,), [], [], EncodeCost(4, 1, 3), True, 0)]
     (root / "sweep").mkdir()
     write_traces(root / "sweep" / "trace.jsonl", traces)
-    index = {"frame_ms": 10.0, "tokenize": "word", "seed": 0,
+    index = {"tokenize": "word", "seed": 0,
              "jobs": [{"strategy": "ulstm-reencode", "segmentation": "fixed", "k": 8, "s": 4,
                        "N": 1, "trace": "trace.jsonl", "utterances": 2}]}
     (root / "sweep" / "sweep.json").write_text(json.dumps(index, indent=2) + "\n")
@@ -173,6 +173,15 @@ def test_json_file_with_junk_inserted(files, name, load, pos, junk):
     except ValueError:
         pass
     refused_naming(damaged_copy(files, name, blob), load)
+
+
+def test_a_zero_width_attention_header_is_refused(files, tmp_path):
+    blob = bytearray((files[0] / "model.ckpt").read_bytes())
+    struct.pack_into("<I", blob, len(md.CHECKPOINT_MAGIC) + 24, 0)  # attn_dim
+    path = tmp_path / "flat.ckpt"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match="flat.ckpt: attn_dim must be positive, got 0"):
+        md.load_checkpoint(path)
 
 
 def test_a_huge_layer_count_is_refused_within_a_fixed_budget(files, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from streamst import metrics as mt
 from streamst import synthetic as sy
-from streamst.decoder import DecodeTrace
+from streamst.decoder import FRAME_MS, DecodeTrace
 from streamst.encoding import EncodeCost
 from streamst.errors import ConfigError
 
@@ -294,8 +294,8 @@ class TestAlignmentFiles:
 
 def record(utt_id, hyp, delays, duration, frames=100, wall=50, truncated=False):
     """A trace of one read of the whole utterance, which lasts duration ms."""
-    return DecodeTrace(utt_id, hyp, reads=(1,), tokens=["x"] * len(delays), delays_ms=delays,
-                       frame_ms=duration, cost=EncodeCost(frames, 1, wall), truncated=truncated)
+    return DecodeTrace(utt_id, hyp, reads=(int(duration / FRAME_MS),), tokens=["x"] * len(delays),
+                       delays_ms=delays, cost=EncodeCost(frames, 1, wall), truncated=truncated)
 
 
 class TestTradeoffTable:

@@ -52,6 +52,13 @@ class TestVocab:
             md.Vocab("aba")
 
 
+@pytest.mark.parametrize("field", ["attn_dim", "embed_dim"])
+def test_config_refuses_a_zero_width_layer(field):
+    """A zero-width attention scorer weights every position alike forever."""
+    with pytest.raises(ConfigError, match="%s must be positive, got 0" % field):
+        md.ModelConfig(vocab=VOCAB, **{field: 0})
+
+
 class TestFrontend:
     @pytest.mark.parametrize("t_len,positions", [(100, 25), (4, 1), (7, 1), (130, 32), (2000, 500)])
     def test_position_count(self, small_cfg, small_params, t_len, positions):

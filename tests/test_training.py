@@ -104,7 +104,7 @@ def test_global_norm_sums_over_all_gradients(cfg, params):
 
 
 def test_update_scales_and_steps_against_the_gradient(cfg, params):
-    tcfg = TrainConfig(lr=0.1, momentum=0.0, grad_clip=1e9)
+    tcfg = TrainConfig(lr=0.1, momentum=0.0, grad_clip=math.inf)  # inf clips nothing
     before = snapshot(params)
     for _, t in params:
         t.grad = np.full_like(t.data, 0.004)
@@ -221,3 +221,14 @@ def test_train_config_rejects_bad_settings():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(holdout_fraction=1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grad_clip", -1.0), ("grad_clip", 0.0), ("grad_clip", math.nan),
+    ("lr", math.nan), ("lr", math.inf), ("guide_weight", math.nan), ("guide_weight", math.inf),
+])
+def test_train_config_refuses_settings_that_cannot_train(field, value):
+    """A negative clip turns every step into gradient ascent, a zero clip
+    freezes the weights, and a nan clip silently clips nothing."""
+    with pytest.raises(ConfigError, match="%s must be" % field):
+        TrainConfig(**{field: value})
