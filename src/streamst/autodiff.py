@@ -26,7 +26,11 @@ loop, so its outputs are bit-identical to that loop's; the streaming
 equivalence checks rely on it.  It writes the products of a group of input
 channels as rows and adds them with one np.add.reduce over that outer axis,
 which adds whole rows in order; a reduce over a contiguous axis, or to one
-element, would sum pairwise.
+element, would sum pairwise.  numpy 2.4.6 copies the operands of a multiply
+whose rows are narrower than a third of its ufunc buffer through a buffered
+iterator, at three to four times the cost per product, so a wide enough
+group's multiply runs under a buffer no wider than a row.  That changes
+speed only: the outputs are the same on any numpy version.
 """
 
 from __future__ import annotations
@@ -421,6 +425,15 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
 
 
 _CONV_SCRATCH_BYTES = 1 << 18  # cap on one conv2d forward's rows of tap products and sums
+# Measured with numpy 2.4.6, OpenBLAS on one thread: a broadcast multiply
+# whose rows are narrower than a third of the ufunc buffer goes through
+# numpy's buffered iterator at 0.33-0.50 ns per product; a buffer no wider
+# than a row makes it run in place at 0.10-0.13 ns.  Below 128 columns the
+# small buffer splits each row and is slower ((4, 8, 60): 6.3 us by default,
+# 11.4 us with a buffer of 16), and below 8192 products the two switches,
+# about 1.6 us, cost more than they save.
+_INPLACE_MIN_COLUMNS = 128
+_INPLACE_MIN_PRODUCTS = 8192
 
 
 def _sum_taps(taps, weights, start, cols) -> None:
@@ -435,6 +448,14 @@ def _sum_taps(taps, weights, start, cols) -> None:
     as a scalar loop does.  The reduce writes to a contiguous row of its
     own; into a strided view of cols it runs slower.  A reduce to one
     element would sum pairwise, so such a tile is widened by a zero column.
+
+    A group's multiply of at least _INPLACE_MIN_COLUMNS columns and
+    _INPLACE_MIN_PRODUCTS products, whose rows are narrower than a third of
+    the ufunc buffer, runs under a buffer of m // 16 * 16 elements, so that
+    numpy iterates its operands in place rather than through its buffered
+    iterator; the caller's size is restored even if the multiply raises.
+    The rule was measured on numpy 2.4.6.  The multiply is elementwise, so
+    the outputs are the same on any numpy version; only speed may differ.
     """
     c_in, kh, kw, c_out, _ = weights.shape
     n, k, row = cols.shape[1], kh * kw, c_out * cols.itemsize
@@ -449,13 +470,22 @@ def _sum_taps(taps, weights, start, cols) -> None:
         sums, rows = buf[0], buf[1:]
         prods = rows[1:].reshape(group, kh, kw, c_out, width)[..., :m]
         if width > m:
-            rows[:, :, m:] = 0
+            rows[:, :, m:] = 0  # the reduce reads this column; scratch garbage could raise
         rows[0, :, :m] = start
         for c0 in range(0, c_in, group):
             g = min(group, c_in - c0)
             if c0:
                 rows[0] = sums
-            np.multiply(taps[c0:c0 + g, ..., q0:q0 + m], weights[c0:c0 + g], out=prods[:g])
+            a, b, out = taps[c0:c0 + g, ..., q0:q0 + m], weights[c0:c0 + g], prods[:g]
+            if (m >= _INPLACE_MIN_COLUMNS and g * k * c_out * m >= _INPLACE_MIN_PRODUCTS
+                    and 3 * m < (size := np.getbufsize())):
+                np.setbufsize(m // 16 * 16)
+                try:
+                    np.multiply(a, b, out=out)
+                finally:
+                    np.setbufsize(size)
+            else:
+                np.multiply(a, b, out=out)
             np.add.reduce(rows[:g * k + 1], axis=0, out=sums)
         cols[:, q0:q0 + m] = sums[:, :m]
 

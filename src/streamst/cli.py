@@ -285,7 +285,7 @@ def benchmark_decoding(t_frames: int = 2000, k: int = 100, s: int = 10,
     is capped at 40 tokens, but the model seed decides the decoder's share.
     With seed 0, the default, end-of-sequence is proposed and suppressed at
     each of the 191 reads, nothing is written, and decoding takes about a
-    quarter of an overlap utterance and 2-4% of a re-encoding one.  Seeds 1
+    third of an overlap utterance and 3-6% of a re-encoding one.  Seeds 1
     and 2 write 40 tokens and stop.
     """
     if reps < 1:
@@ -534,36 +534,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Let a JSON file supply defaults while explicit flags keep priority."""
+def _config_words(action, value):
+    """The command-line words that set action to a config file's value."""
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise argparse.ArgumentError(None, "must be true or false, got %r" % (value,))
+        return [flag] if value else []
+    items = value if isinstance(value, list) and action.nargs is not None else [value]
+    if any(isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in items):
+        raise argparse.ArgumentError(None, "must be a string or a number%s, got %r"
+                                     % ("" if action.nargs is None else " or a list of them",
+                                        value))
+    return ["%s=%s" % (flag, value)] if action.nargs is None else [flag] + [str(v) for v in items]
+
+
+def _apply_config_file(argv):
+    """argv with a JSON file's values as flags after the subcommand, where
+    the parser converts and checks them as it does typed flags, and the
+    explicit flags that follow win."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("command", nargs="?")
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
-        return
+        return argv
     path = known.config
     values = parse_json(read_text(path), path)
     if not isinstance(values, dict):
         raise ConfigError("config %s must hold a json object" % path)
-    sub = parser.sub_commands.get(known.command)
-    if sub is None:
+    # a parser of the subcommand that raises, and requires no option, checks
+    # one key's flags at a time so that a refusal can name the key
+    check = build_parser().sub_commands.get(known.command)
+    if check is None:
         raise ConfigError("--config needs a known subcommand, got %r"
                           % (known.command,))
-    dests = {a.dest for a in sub._actions}
-    unknown = sorted(set(values) - dests)
+    check.exit_on_error = False
+    for action in check._actions:
+        action.required = False
+    actions = {a.dest: a for a in check._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(values) - set(actions))
     if unknown:
         raise ConfigError("config %s has unknown keys: %s"
                           % (path, ", ".join(unknown)))
-    sub.set_defaults(**values)
+    tokens = []
+    for key, value in values.items():
+        try:
+            words = _config_words(actions[key], value)
+            _, extra = check.parse_known_args(words)
+            if extra:
+                raise argparse.ArgumentError(None, "unexpected values %s" % " ".join(extra))
+        except argparse.ArgumentError as e:
+            raise ConfigError("config %s: %s: %s" % (path, key, e.message)) from None
+        tokens += words
+    at = argv.index(known.command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_apply_config_file(argv))
         return args.run(args)
     except (ValueError, RuntimeError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

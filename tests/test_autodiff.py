@@ -178,11 +178,13 @@ class TestConv2d:
     @settings(max_examples=60, deadline=None)
     @given(c_in=st.integers(1, 8), c_out=st.integers(1, 8), kh=st.sampled_from([1, 3, 5]),
            kw=st.sampled_from([1, 3, 5]), padding=st.sampled_from(["same", "valid"]),
-           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+           seed=st.integers(0, 2 ** 32 - 1), dtype=st.sampled_from([np.float32, np.float64]),
+           data=st.data())
     def test_matches_loop_oracle_over_long_time_axes(self, c_in, c_out, kh, kw, padding,
-                                                     seed, data):
+                                                     seed, dtype, data):
         # H runs to 600 so that the forward's scratch tiles and their short
-        # last tile are crossed; the oracle's cost caps H for wide layers
+        # last tile are crossed, and tiles of either side of the small-buffer
+        # rule; the oracle's cost caps H for wide layers
         ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if padding == "same" else (0, 0)
         w = data.draw(st.integers(kw - 2 * pw, 24), label="w")
         wo = w + 2 * pw - kw + 1
@@ -190,10 +192,11 @@ class TestConv2d:
         high = max(low, min(600, 400_000 // (c_in * c_out * kh * kw * wo)))
         h = data.draw(st.integers(max(low, high // 2), high), label="h")
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((c_in, h, w)).astype(np.float32)
-        k = rng.standard_normal((c_out, c_in, kh, kw)).astype(np.float32)
-        b = rng.standard_normal(c_out).astype(np.float32)
-        got = ad.conv2d(t(x), t(k), t(b), padding=padding).data
+        x = rng.standard_normal((c_in, h, w)).astype(dtype)
+        k = rng.standard_normal((c_out, c_in, kh, kw)).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype)
+        got = ad.conv2d(t(x, dtype=dtype), t(k, dtype=dtype), t(b, dtype=dtype),
+                        padding=padding).data
         want = helpers.conv2d_loop(x, k, b, padding=padding)
         assert got.shape == want.shape
         assert np.array_equal(got, want), "conv forward differs from the scalar loop"
@@ -212,6 +215,71 @@ class TestConv2d:
         got = ad.conv2d(t(x), t(k), t(b), padding="valid").data
         assert helpers.conv2d_loop(x, k, b, padding="valid").tolist() == want
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in, c_out, m, bufsize, switches", [
+        (1, 8, 127, 8192, (0, 0)),  # fewer columns than _INPLACE_MIN_COLUMNS
+        (1, 8, 128, 8192, (1, 1)),
+        (1, 1, 910, 8192, (0, 0)),  # 8,190 products, under _INPLACE_MIN_PRODUCTS
+        (1, 1, 911, 8192, (1, 1)),
+        (12, 1, 600, 8192, (1, 3)),  # groups of 11 and 1 channels, or 5, 5 and 2
+        (1, 1, 2730, 8192, (1, 1)),
+        (1, 1, 2731, 8192, (0, 0)),  # 3 m at or above the buffer
+        (1, 1, 1365, 4096, (1, 1)),
+        (1, 1, 1366, 4096, (0, 0)),
+    ])
+    def test_small_buffer_rule_keeps_the_loop_bits(self, monkeypatch, dtype, c_in, c_out, m,
+                                                   bufsize, switches):
+        # One tile of m columns on each side of every bound of the rule: the
+        # switched multiplies (switches counts them in float32 and float64)
+        # run under m // 16 * 16, the output equals the scalar loop's, and
+        # the caller's buffer size is back afterwards
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((c_in, m + 2, 3)).astype(dtype)
+        k = rng.standard_normal((c_out, c_in, 3, 3)).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype)
+        sizes, setbufsize = [], np.setbufsize
+        old = setbufsize(bufsize)
+        try:
+            monkeypatch.setattr(np, "setbufsize", lambda size: sizes.append(size) or setbufsize(size))
+            got = ad.conv2d(t(x, dtype=dtype), t(k, dtype=dtype), t(b, dtype=dtype),
+                            padding="valid").data
+            assert np.getbufsize() == bufsize
+        finally:
+            setbufsize(old)
+        assert sizes == [m // 16 * 16, bufsize] * switches[dtype == np.float64]
+        assert np.array_equal(got, helpers.conv2d_loop(x, k, b, padding="valid"))
+
+    def test_buffer_size_is_restored_when_the_multiply_raises(self, monkeypatch):
+        def multiply(*args, **kwargs):
+            raise FloatingPointError("multiply under a buffer of %d" % np.getbufsize())
+
+        x = np.ones((1, 202, 3), dtype=np.float32)
+        k = np.ones((8, 1, 3, 3), dtype=np.float32)
+        before = np.getbufsize()
+        monkeypatch.setattr(np, "multiply", multiply)
+        with pytest.raises(FloatingPointError, match="under a buffer of 192$"):
+            ad.conv2d(t(x), t(k), padding="valid")
+        assert np.getbufsize() == before
+
+    def test_widened_column_is_zeroed(self, monkeypatch):
+        # A one-output tile is widened by a column that the reduce sums too.
+        # Left as scratch garbage, here 0, inf, 0, -inf, ..., it would raise
+        # under np.errstate(all="raise"), or leave a warning behind.
+        empty = np.empty
+
+        def dirty_empty(*args, **kwargs):
+            a = empty(*args, **kwargs)
+            flat = a.reshape(-1)
+            flat[::2], flat[1::4], flat[3::4] = 0, np.inf, -np.inf
+            return a
+
+        x = np.ones((4, 3, 3), dtype=np.float32)
+        k = np.ones((1, 4, 3, 3), dtype=np.float32)
+        monkeypatch.setattr(np, "empty", dirty_empty)
+        with np.errstate(all="raise"):
+            got = ad.conv2d(t(x), t(k), t([1.0]), padding="valid").data
+        assert got.tolist() == [[[37.0]]]
 
     def test_channel_groups_carry_their_sums(self):
         # 8 outputs over 40x8 "same" give 334 columns, and 256 KiB of scratch

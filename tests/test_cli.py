@@ -694,6 +694,40 @@ def test_config_file_must_exist(tmp_path, capsys):
     assert "gone.json" in capsys.readouterr().err
 
 
+def test_config_values_go_through_the_flag_parser(corpus_dir, model_path, tmp_path):
+    """A config value is converted as the same flag on the command line is:
+    a bare number serves a list flag, and a required flag may come from the
+    file."""
+    cfg = tmp_path / "sim.json"
+    out = tmp_path / "sweep"
+    cfg.write_text(json.dumps({"data": str(corpus_dir), "model": str(model_path),
+                               "out": str(out), "k": 8, "s": [16]}))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 0
+    rows = canonical_csv(out / "tradeoff.csv")
+    assert [dict(zip(TRADEOFF_COLUMNS, row))["k"] for row in rows[1:]] == ["8"]
+
+
+@pytest.mark.parametrize("command, key, value, says", [
+    ("generate", "utterances", 2.5, "invalid int value: '2.5'"),
+    ("generate", "feature_scale", True, "must be a string or a number"),
+    ("generate", "seed", None, "must be a string or a number"),
+    ("train", "bidirectional", "yes", "must be true or false, got 'yes'"),
+    ("train", "vgg_channels", [4, 8, 16], "unexpected values 16"),
+    ("translate", "tokenize", "bytes", "invalid choice: 'bytes'"),
+    ("simulate", "k", ["eight"], "invalid int value: 'eight'"),
+])
+def test_config_file_refuses_a_value_its_flag_refuses(tmp_path, capsys, command, key, value,
+                                                      says):
+    """The refusal exits 2 with one line naming the file and the key, before
+    the command's own flags are parsed."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config %s: %s: " % (cfg, key))
+    assert says in err[0]
+
+
 # ---------------------------------------------------------------------------
 # README
 

@@ -99,7 +99,7 @@ def load_sweep_around(path):
 
 
 def load_config(path):
-    cli._apply_config_file(cli.build_parser(), ["generate", "--config", str(path), "--out", "x"])
+    cli._apply_config_file(["generate", "--config", str(path), "--out", "x"])
 
 
 BINARY = [("features.simf", read_features), ("model.ckpt", md.load_checkpoint)]
