@@ -114,7 +114,7 @@ def _cmd_translate(args) -> int:
     corpus = load_corpus(args.data)
     hyps = []
     for utt_id in corpus.ids:
-        hyps.append(offline_translate(corpus.features[utt_id], params, cfg))
+        hyps.append(offline_translate(corpus.features[utt_id], params, cfg, utt_id=utt_id))
     if args.out:
         write_rows(args.out, zip(corpus.ids, hyps))
     refs = [corpus.targets[i] for i in corpus.ids]

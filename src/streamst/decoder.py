@@ -132,23 +132,24 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
 
 
 def offline_trace(frames: np.ndarray, params: Parameters, cfg: ModelConfig,
-                  policy: DecodePolicy | None = None) -> DecodeTrace:
+                  policy: DecodePolicy | None = None, utt_id: str = "") -> DecodeTrace:
     """Greedy decoding over the fully encoded utterance.
 
     This is simulate with a plan that reads every frame at once, through the
     re-encode strategy of the model's direction: the one read encodes the
     utterance exactly as offline encoding does, and the decoder then writes
-    until end-of-sequence or the length cap.
+    until end-of-sequence or the length cap.  utt_id names the trace and
+    the utterance in errors.
     """
     strategy = "blstm-reencode" if cfg.bidirectional else "ulstm-reencode"
-    plan = SegmentationPlan("", len(frames), (len(frames),))
+    plan = SegmentationPlan(utt_id, len(frames), (len(frames),))
     return simulate(frames, plan, policy or DecodePolicy(), params, cfg, strategy)
 
 
 def offline_translate(frames: np.ndarray, params: Parameters, cfg: ModelConfig,
-                      policy: DecodePolicy | None = None) -> str:
+                      policy: DecodePolicy | None = None, utt_id: str = "") -> str:
     """The hypothesis of offline_trace."""
-    return offline_trace(frames, params, cfg, policy).hypothesis
+    return offline_trace(frames, params, cfg, policy, utt_id).hypothesis
 
 
 # ---------------------------------------------------------------------------

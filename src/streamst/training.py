@@ -17,6 +17,15 @@ auxiliary term rewards attention mass on the diagonal: the synthetic task is
 length-preserving, so target character i sits at encoder positions
 [i * P // n, (i + 1) * P // n) for P encoder positions and n target
 characters.  Reversed-order utterances are exempt.
+
+The loss of one utterance records its encoder op by op, and its decoder and
+loss as one tape node, the way autodiff.lstm records a recurrence.  The
+node's forward is decode_step, once per target token, with nothing recorded.
+Its rule is backpropagation through time over the attention, both decoder
+LSTM layers, the output layer, the log-softmax picks and the guide, with the
+bits of those ops composed: each parameter gets its per-step terms last step
+first, in one np.add.reduce over rows that start from its existing gradient,
+and embed's rows get theirs through np.add.at, last step first.
 """
 
 from __future__ import annotations
@@ -29,9 +38,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .decoder import offline_trace
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, InsufficientFramesError, TrainingDivergedError
 from .metrics import bleu
-from .model import (BOS_ID, EOS_ID, ModelConfig, Parameters, Vocab,
+from .model import (BOS_ID, EOS_ID, MIN_CHUNK_FRAMES, ModelConfig, Parameters, Vocab,
                     decode_step, encode_utterance, init_decoder_state)
 from .synthetic import split_holdout
 
@@ -39,6 +48,9 @@ from .synthetic import split_holdout
 OPTIMIZERS = ("momentum", "adam")
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# what decode_step reads, in the order of utterance_loss's node inputs after the encoder outputs
+_DECODER_PARAMETERS = ("embed", "attn_enc", "attn_dec", "attn_v", "dec0_wx", "dec0_wh", "dec0_b",
+                       "dec1_wx", "dec1_wh", "dec1_b", "out_w", "out_b")
 
 
 @dataclass(frozen=True)
@@ -97,27 +109,181 @@ def utterance_loss(frames: np.ndarray, target: str, params: Parameters,
     window for target position i is the run of encoder positions covering
     source symbol i (the end token takes the last position).  Only
     meaningful for monotone length-preserving targets.
+
+    The encoder is recorded op by op; the decoder and the loss are one tape
+    node.  Its forward is decode_step, called once per token on tensors that
+    share the arrays of the encoder outputs and the parameters but do not
+    require grad, so nothing inside it is recorded.  Its rule,
+    _decoder_rule, adds into each input what the composed ops' rules would,
+    with their bits and in their order: every step's term, last step first.
     """
     vocab = Vocab(cfg.vocab)
     token_ids = vocab.encode(target) + [EOS_ID]
     enc = encode_utterance(np.asarray(frames, dtype=np.float32), params, cfg)
-    state = init_decoder_state(cfg)
-    prev = BOS_ID
-    picked = []
-    p_len = enc.shape[0]
-    n_sym = max(1, len(target))
-    for i, tok in enumerate(token_ids):
-        logits, state, attn = decode_step(prev, state, enc, params, cfg)
-        logp = ad.log(ad.softmax(logits))
-        picked.append(ad.slice_last(logp, tok, tok + 1))
-        if guide_weight > 0.0:
-            lo = min(i * p_len // n_sym, p_len - 1)
-            hi = max(lo + 1, min((i + 1) * p_len // n_sym, p_len))
-            window = ad.log(ad.sum_all(ad.slice_last(attn, lo, hi)))
-            picked.append(ad.reshape(ad.scale(window, guide_weight), (1, 1)))
+    weights = [params[name] for name in _DECODER_PARAMETERS]
+    frozen = Parameters([(name, ad.Tensor(w.data, dtype=w.dtype))
+                         for name, w in zip(_DECODER_PARAMETERS, weights)])
+    values = ad.Tensor(enc.data, dtype=enc.dtype)
+    state, prev, steps = init_decoder_state(cfg), BOS_ID, []
+    for tok in token_ids:
+        logits, state, attn = decode_step(prev, state, values, frozen, cfg)
+        steps.append((logits.data, attn.data, [(h.data, c.data) for h, c in state]))
         prev = tok
-    total = ad.sum_all(ad.stack_rows(picked))
-    return ad.scale(total, -1.0), len(token_ids)
+    m, dt = len(token_ids), enc.dtype
+    probs = ad._softmax(np.concatenate([logits for logits, _, _ in steps]))  # (m, V)
+    # the loss adds these rows in this order: each step's log-probability of
+    # its token, then, with the guide, its window term
+    rows = np.empty((m, 2 if guide_weight > 0.0 else 1), dtype=dt)
+    rows[:, 0] = np.log(probs[np.arange(m), token_ids])
+    windows, mass = [], None
+    if guide_weight > 0.0:
+        p_len, n_sym = enc.shape[0], max(1, len(target))
+        for i in range(m):
+            lo = min(i * p_len // n_sym, p_len - 1)
+            windows.append((lo, max(lo + 1, min((i + 1) * p_len // n_sym, p_len))))
+        mass = np.array([np.sum(attn[0, lo:hi], dtype=dt)
+                         for (_, attn, _), (lo, hi) in zip(steps, windows)])
+        rows[:, 1] = np.log(mass) * guide_weight
+    total = np.sum(rows.reshape(-1, 1), dtype=dt)
+    rule = lambda g: _decoder_rule(g, enc, weights, cfg, token_ids, steps, probs,  # noqa: E731
+                                   guide_weight, windows, mass)
+    return ad._op(total * -1.0, (enc, *weights), rule), m
+
+
+def _gate_terms(x, h_prev, c_prev, c, wx, wh, b) -> tuple:
+    """The terms autodiff.lstm's rule computes for a one-step call, with its
+    bits, for m such calls at once from their (m, .) rows: (dc_dh, by_dc,
+    by_dh, forget gate)."""
+    n = wh.shape[0]
+    gates = (np.matmul(x[:, None, :], wx.data) + np.matmul(h_prev[:, None, :], wh.data))[:, 0]
+    gates += b.data.reshape(1, 4 * n)
+    sig = ad._sigmoid(gates)
+    i, f, o = sig[:, :n], sig[:, n:2 * n], sig[:, 3 * n:]
+    cell, tc = np.tanh(gates[:, 2 * n:3 * n]), np.tanh(c)
+    by_dc = np.stack([cell * i * (1 - i), c_prev * f * (1 - f), i * (1 - cell * cell)], axis=1)
+    return o * (1 - tc * tc), by_dc, tc * o * (1 - o), f
+
+
+def _add_rows(t: ad.Tensor, rows: np.ndarray) -> None:
+    """t.grad += rows[1]; t.grad += rows[2]; ..., with the bits of those adds:
+    one np.add.reduce over the outer axis, which adds whole rows in order.
+    rows[0] is scratch for the gradient so far.  A reduce to one element
+    would sum pairwise, so a one-element gradient accumulates instead."""
+    if not t.requires_grad:
+        return
+    rows[0] = t.ensure_grad()
+    if rows[0].size == 1:
+        t.grad[...] = np.add.accumulate(rows.reshape(-1))[-1]
+    else:
+        np.add.reduce(rows, axis=0, out=t.grad)
+
+
+def _scratch(t: ad.Tensor, terms: int) -> np.ndarray:
+    """Room for the gradient so far and that many terms of t's shape."""
+    return np.empty((terms + 1,) + t.shape, dtype=t.dtype)
+
+
+def _add_reversed(t: ad.Tensor, terms: np.ndarray) -> None:
+    """Add the step-ordered terms into t.grad, last step first."""
+    rows = _scratch(t, len(terms))
+    rows[1:] = terms[::-1]
+    _add_rows(t, rows)
+
+
+def _add_outer(t: ad.Tensor, a: np.ndarray, b: np.ndarray) -> None:
+    """Add each step's a[s].T @ b[s] into t.grad, last step first.  Those
+    products have inner dimension 1, so a broadcast multiply forms them."""
+    rows = _scratch(t, len(a))
+    np.multiply(a[::-1, :, None], b[::-1, None, :], out=rows[1:])
+    _add_rows(t, rows)
+
+
+def _decoder_rule(g, enc, weights, cfg, token_ids, steps, probs, guide_weight, windows, mass):
+    """Backpropagation through utterance_loss's decoder and loss.
+
+    The loss's softmax terms, the contexts, the attention's tanh scores and
+    the lstm gate terms are recomputed for all m steps at once; only the dh
+    and dc recurrence and the attention backward run step by step, last step
+    first.  Each row product is a 2-d call on a (1, K) row or a stacked
+    (m, 1, K) matmul, never an (m, K) sgemm, whose rows would differ.  Then
+    every parameter gets its per-step terms in one ordered reduce, and
+    embed's rows get theirs through np.add.at, last step first.
+    """
+    embed, we, wd, v, wx0, wh0, b0, wx1, wh1, b1, out_w, out_b = weights
+    m, dt, n, n_emb = len(token_ids), enc.dtype, cfg.hidden, cfg.embed_dim
+    vd = enc.data
+    prev_ids = [BOS_ID] + token_ids[:-1]
+    attn = np.concatenate([a for _, a, _ in steps])  # (m, P)
+    h0, c0, h1, c1 = (np.concatenate([s[layer][k] for _, _, s in steps])
+                      for layer in (0, 1) for k in (0, 1))
+    zero = np.zeros((1, n), dtype=dt)
+    h0_prev, c0_prev, h1_prev, c1_prev = (np.concatenate([zero, a[:-1]])
+                                          for a in (h0, c0, h1, c1))
+    ctx = np.matmul(attn[:, None, :], vd)[:, 0]  # (m, C)
+    x0 = np.concatenate([embed.data[prev_ids], ctx], axis=1)  # the first layer's inputs
+    # the loss: g times -1 at each picked log-probability, then log and softmax
+    gy = np.zeros_like(probs)
+    gy[np.arange(m), token_ids] = g * -1.0
+    gy /= probs
+    gl = ad._softmax_grad(gy, probs)  # at the logits
+    gz = np.matmul(gl[:, None, :], out_w.data.T)[:, 0]  # at each (h1, context) row
+    ga0 = np.zeros_like(attn)  # at the attention weights, from the guide
+    if windows:
+        term = (g * -1.0 * guide_weight) / mass
+        for t, (lo, hi) in enumerate(windows):
+            ga0[t, lo:hi] = term[t]
+    e = np.tanh(vd @ we.data + np.matmul(h1_prev[:, None, :], wd.data))  # (m, P, A)
+    tanh_grad = 1 - e * e
+    dc_dh0, by_dc0, by_dh0, f0 = _gate_terms(x0, h0_prev, c0_prev, c0, wx0, wh0, b0)
+    dc_dh1, by_dc1, by_dh1, f1 = _gate_terms(h0, h1_prev, c1_prev, c1, wx1, wh1, b1)
+    dg0, dg1 = np.empty((m, 4 * n), dtype=dt), np.empty((m, 4 * n), dtype=dt)
+    gctx, gemb = np.empty_like(ctx), np.empty((m, n_emb), dtype=dt)
+    ds, dse, dq = np.empty_like(attn), np.empty_like(e), np.empty((m, e.shape[2]), dtype=dt)
+    wh0_t, wx0_t, wh1_t, wx1_t = wh0.data.T, wx0.data.T, wh1.data.T, wx1.data.T
+    vd_t, wd_t, v_row = vd.T, wd.data.T, v.data.T
+    for t in range(m - 1, -1, -1):
+        last = t == m - 1
+        # the second layer's h: the next step's lstm and attention terms, then the output layer's
+        dh = gz[t:t + 1, :n] if last else (dh1 + dq_h) + gz[t:t + 1, :n]
+        dc = dh * dc_dh1[t] if last else dc1 + dh * dc_dh1[t]
+        np.multiply(dc, by_dc1[t], out=dg1[t, :3 * n].reshape(3, n))
+        np.multiply(dh[0], by_dh1[t], out=dg1[t, 3 * n:])
+        dc1, dh1 = dc * f1[t], dg1[t:t + 1] @ wh1_t
+        # the first layer's h: the next step's lstm term, then the second layer's input term
+        dh = dg1[t:t + 1] @ wx1_t if last else dh0 + dg1[t:t + 1] @ wx1_t
+        dc = dh * dc_dh0[t] if last else dc0 + dh * dc_dh0[t]
+        np.multiply(dc, by_dc0[t], out=dg0[t, :3 * n].reshape(3, n))
+        np.multiply(dh[0], by_dh0[t], out=dg0[t, 3 * n:])
+        dc0, dh0 = dc * f0[t], dg0[t:t + 1] @ wh0_t
+        gx = dg0[t:t + 1] @ wx0_t
+        gemb[t] = gx[0, :n_emb]
+        np.add(gz[t:t + 1, n:], gx[:, n_emb:], out=gctx[t:t + 1])
+        # attention: the context's term, then the weights' softmax and the tanh
+        ds[t] = ad._softmax_grad(ga0[t:t + 1] + gctx[t:t + 1] @ vd_t, attn[t:t + 1])
+        np.multiply(ds[t, :, None] * v_row, tanh_grad[t], out=dse[t])
+        dq[t] = dse[t].sum(axis=0)
+        dq_h = dq[t:t + 1] @ wd_t
+    # the composed ops add each step's terms: output layer, lstms, context, attention
+    _add_reversed(out_b, gl)
+    _add_outer(out_w, np.concatenate([h1, ctx], axis=1), gl)
+    for x, h_prev, dg, (wx, wh, b) in ((h0, h1_prev, dg1, (wx1, wh1, b1)),
+                                       (x0, h0_prev, dg0, (wx0, wh0, b0))):
+        _add_outer(wx, x, dg)
+        _add_outer(wh, h_prev, dg)
+        _add_reversed(b, dg)
+    terms = _scratch(enc, 2 * m)  # each step adds the context's term, then the attention's
+    np.multiply(attn[::-1, :, None], gctx[::-1, None, :], out=terms[1::2])
+    np.matmul(dse[::-1], we.data.T, out=terms[2::2])
+    _add_rows(enc, terms)
+    terms = _scratch(v, m)
+    np.matmul(e[::-1].transpose(0, 2, 1), ds[::-1, :, None], out=terms[1:])
+    _add_rows(v, terms)
+    _add_outer(wd, h1_prev, dq)
+    terms = _scratch(we, m)
+    np.matmul(vd_t, dse[::-1], out=terms[1:])
+    _add_rows(we, terms)
+    if embed.requires_grad:
+        np.add.at(embed.ensure_grad(), prev_ids[::-1], gemb[::-1])
 
 
 def _global_norm(params: Parameters) -> float:
@@ -200,12 +366,19 @@ def train(params: Parameters, cfg: ModelConfig, corpus: list,
 
     Each corpus item has utt_id, frames, target and reversed_order; the
     attention guide skips reversed-order utterances.
-    Raises if any utterance loss turns non-finite, naming the epoch and
-    utterance.  With zero epochs the parameters are left untouched.
+    Refuses, before any update, an utterance of fewer than MIN_CHUNK_FRAMES
+    frames, training or held out, naming it.  Raises if any utterance loss
+    turns non-finite, naming the epoch and utterance.  With zero epochs the
+    parameters are left untouched.
     """
     train_set, held = split_holdout(corpus, tcfg.holdout_fraction)
     if not train_set:
         raise ConfigError("holdout left no training utterances")
+    for utt in corpus:
+        if len(utt.frames) < MIN_CHUNK_FRAMES:
+            raise InsufficientFramesError(
+                "utterance %r has %d frames, too few for one encoder position (need at least %d)"
+                % (utt.utt_id, len(utt.frames), MIN_CHUNK_FRAMES))
     order = random.Random(tcfg.seed)
     opt_state: dict = {}
     reports = []

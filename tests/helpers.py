@@ -5,7 +5,8 @@ convolution and pooling references iterate one output element at a time with
 plain python loops; the gradient check runs the same computation graph in
 float64 and differentiates it numerically with central differences.  The
 decoding references keep separate greedy loops for mid-stream reads, the
-final read and offline translation.  The LSTM references are the cell
+final read and offline translation, and the teacher-forced loss is composed
+of tape ops step by step.  The LSTM references are the cell
 composed of tape ops, for gradients, and a plain-array cell that activates
 each gate slice on its own, for outputs.
 """
@@ -150,6 +151,33 @@ def offline_translate_loop(frames, params, cfg, policy=None):
         prev = token
         out_ids.append(token)
     return vocab.decode(out_ids)
+
+
+def utterance_loss_ops(frames, target, params, cfg, guide_weight=0.0):
+    """Teacher-forced loss oracle composed of tape ops: decode_step once per
+    token on the recorded encoder outputs, then log, softmax and a slice per
+    token, and the guide's window terms, stacked and summed.  This is how
+    training.utterance_loss recorded the decoder before it became one node;
+    returns (loss tensor, token count)."""
+    token_ids = Vocab(cfg.vocab).encode(target) + [EOS_ID]
+    enc = encode_utterance(np.asarray(frames, dtype=np.float32), params, cfg)
+    state = init_decoder_state(cfg)
+    prev = BOS_ID
+    picked = []
+    p_len = enc.shape[0]
+    n_sym = max(1, len(target))
+    for i, tok in enumerate(token_ids):
+        logits, state, attn = decode_step(prev, state, enc, params, cfg)
+        logp = ad.log(ad.softmax(logits))
+        picked.append(ad.slice_last(logp, tok, tok + 1))
+        if guide_weight > 0.0:
+            lo = min(i * p_len // n_sym, p_len - 1)
+            hi = max(lo + 1, min((i + 1) * p_len // n_sym, p_len))
+            window = ad.log(ad.sum_all(ad.slice_last(attn, lo, hi)))
+            picked.append(ad.reshape(ad.scale(window, guide_weight), (1, 1)))
+        prev = tok
+    total = ad.sum_all(ad.stack_rows(picked))
+    return ad.scale(total, -1.0), len(token_ids)
 
 
 def _sigmoid_by_tanh(v):

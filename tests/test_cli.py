@@ -560,25 +560,59 @@ def test_sweep_refuses_a_job_that_misreports_its_configuration(corpus_dir, model
     assert not out.exists()
 
 
+def save_with_a_short_utterance(data, index):
+    """Save three generated utterances to data, the one at index cut to one
+    symbol of 3 frames, too few for an encoder position; returns its id."""
+    spec = SyntheticSpec(frames_per_symbol=4, feat_dim=6)
+    utts = generate_corpus(spec, 3, 1, 4, seed=2)
+    short = utts[index]
+    utts[index] = dataclasses.replace(
+        short, source=short.source[0], target=short.target[0], frames=short.frames[:3],
+        words=[WordSpan(0, 3)],
+        alignment=dataclasses.replace(short.alignment, src_len=1, tgt_len=1,
+                                      pairs=frozenset({(1, 1)})))
+    save_corpus(data, utts)
+    assert len(load_corpus(data).features[short.utt_id]) == 3
+    return short.utt_id
+
+
 def test_sweep_that_cannot_simulate_an_utterance_writes_nothing(model_path, tmp_path):
     """An utterance too short for one encoder position fails its simulation;
     the sweep raises before it makes its output directory."""
     cfg, params = load_checkpoint(model_path)
-    spec = SyntheticSpec(frames_per_symbol=4, feat_dim=6)
-    short, *rest = generate_corpus(spec, 3, 1, 4, seed=2)
-    short = dataclasses.replace(short, source=short.source[0], target=short.target[0],
-                                frames=short.frames[:3], words=[WordSpan(0, 3)],
-                                alignment=dataclasses.replace(short.alignment, src_len=1,
-                                                              tgt_len=1,
-                                                              pairs=frozenset({(1, 1)})))
-    save_corpus(tmp_path / "data", rest + [short])
-    corpus = load_corpus(tmp_path / "data")
-    assert len(corpus.features[short.utt_id]) == 3
+    short = save_with_a_short_utterance(tmp_path / "data", -1)
     out = tmp_path / "sweep"
     job = {"strategy": "ulstm-reencode", "segmentation": "fixed", "k": 4, "s": 4, "N": 1}
-    with pytest.raises(InsufficientFramesError, match=short.utt_id):
-        cli.run_sweep([job], corpus, params, cfg, out)
+    with pytest.raises(InsufficientFramesError, match=short):
+        cli.run_sweep([job], load_corpus(tmp_path / "data"), params, cfg, out)
     assert not out.exists()
+
+
+def test_translate_names_an_utterance_too_short_to_encode(model_path, tmp_path, capsys):
+    short = save_with_a_short_utterance(tmp_path / "data", 1)
+    out = tmp_path / "hyps.tsv"
+    assert cli.main(["translate", "--data", str(tmp_path / "data"), "--model", str(model_path),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: utterance %r yields no encoder positions" % short]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("index", [0, -1], ids=["training", "held-out"])
+def test_train_refuses_an_utterance_too_short_to_encode_before_any_update(
+        tmp_path, capsys, monkeypatch, index):
+    """The id-sorted corpus holds out its last utterance; a short one is
+    refused on either side of the split before any loss is computed."""
+    short = save_with_a_short_utterance(tmp_path / "data", index)
+    losses = []
+    monkeypatch.setattr(training, "utterance_loss", lambda *a, **k: losses.append(a))
+    path = tmp_path / "m.ckpt"
+    assert cli.main(["train", "--data", str(tmp_path / "data"), "--model", str(path)]
+                    + TRAIN_ARGS) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: utterance %r has 3 frames, too few for one encoder position "
+        "(need at least 4)" % short]
+    assert losses == [] and not path.exists()
 
 
 MISSING = object()

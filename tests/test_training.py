@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import helpers
 from streamst import autodiff as ad
 from streamst.decoder import offline_trace
 from streamst.errors import ConfigError, TrainingDivergedError
-from streamst.model import (BOS_ID, EOS_ID, ModelConfig, Vocab, create_parameters,
+from streamst.model import (BOS_ID, EOS_ID, ModelConfig, Parameters, Vocab, create_parameters,
                             decode_step, encode_utterance, init_decoder_state)
 from streamst.synthetic import SyntheticSpec, generate_corpus, split_holdout
 from streamst.training import (EpochReport, TrainConfig, _apply_update,
@@ -88,6 +91,63 @@ def test_guide_window_covers_the_symbol_at_any_frame_rate():
         want -= math.log(float(window.sum(dtype=np.float64)))
         prev = tok
     assert float(guided.data) - float(plain.data) == pytest.approx(want, rel=1e-4)
+
+
+SYMBOLS = "ABCDEFGHIJKLMNOPQRST "  # the toy task's target vocabulary
+
+
+def accumulate(loss_fn, cfg, params, utterances, guide_weight, start):
+    """Each utterance's loss bytes, then every parameter's gradient bytes
+    after backward has added all of them into the grads given by start."""
+    for name, t in params:
+        t.grad = None if start is None else start[name].copy()
+    losses = []
+    for frames, target in utterances:
+        with ad.Tape() as tape:
+            loss, _ = loss_fn(frames, target, params, cfg, guide_weight)
+        ad.backward(tape, loss)
+        losses.append(loss.data.tobytes())
+    return losses, {name: t.grad.tobytes() for name, t in params}
+
+
+@settings(max_examples=100, deadline=None)
+@given(feat_dim=st.integers(4, 16), channels=st.tuples(st.integers(1, 4), st.integers(1, 8)),
+       enc_layers=st.integers(1, 2), bidirectional=st.booleans(), hidden=st.integers(1, 32),
+       attn_dim=st.integers(1, 32), embed_dim=st.integers(1, 16),
+       n_symbols=st.integers(1, len(SYMBOLS)),
+       shapes=st.lists(st.tuples(st.integers(4, 40), st.integers(0, 8)), min_size=2, max_size=2),
+       guide_weight=st.one_of(st.just(0.0), st.floats(0.01, 2.0)), seeded=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+# perfbench's toy_config(): the only sizes whose output layer is 64 wide; the second
+# utterance has 4 frames, so one encoder position, and an empty target
+@example(feat_dim=16, channels=(4, 8), enc_layers=1, bidirectional=False, hidden=32, attn_dim=32,
+         embed_dim=16, n_symbols=len(SYMBOLS), shapes=[(40, 7), (4, 0)], guide_weight=0.5,
+         seeded=True, seed=3)
+def test_loss_and_gradients_have_the_bits_of_the_composed_ops(
+        feat_dim, channels, enc_layers, bidirectional, hidden, attn_dim, embed_dim, n_symbols,
+        shapes, guide_weight, seeded, seed):
+    """utterance_loss records the decoder and loss as one node; its loss and
+    the gradients it adds into existing grads are those of the composed
+    tape ops, byte for byte."""
+    cfg = ModelConfig(feat_dim=feat_dim, vgg_channels=channels, enc_layers=enc_layers,
+                      hidden=hidden, bidirectional=bidirectional, attn_dim=attn_dim,
+                      embed_dim=embed_dim, vocab=SYMBOLS[:n_symbols])
+    rng = np.random.default_rng(seed)
+    utterances = [(rng.standard_normal((n_frames, feat_dim)).astype(np.float32),
+                   "".join(rng.choice(list(cfg.vocab), size=length)))
+                  for n_frames, length in shapes]
+    init = create_parameters(cfg, seed=seed)
+    start = ({name: rng.standard_normal(t.shape).astype(np.float32) for name, t in init}
+             if seeded else None)
+    results = []
+    for loss_fn in (utterance_loss, helpers.utterance_loss_ops):
+        params = Parameters([(name, ad.Tensor(t.data.copy(), requires_grad=True))
+                             for name, t in init])
+        results.append(accumulate(loss_fn, cfg, params, utterances, guide_weight, start))
+    (losses, grads), (want_losses, want_grads) = results
+    assert losses == want_losses
+    for name, _ in init:
+        assert grads[name] == want_grads[name], name
 
 
 # ---------------------------------------------------------------------------
