@@ -2,11 +2,13 @@
 checks pass their self-test, and its per-layer hooks still see the layers."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from streamst import cli, training
 from streamst import decoder as dec
@@ -15,6 +17,7 @@ from streamst.encoding import STRATEGIES
 from streamst.segmentation import fixed_plan
 from streamst.synthetic import SyntheticSpec, generate_corpus, load_corpus, save_corpus
 
+import golden
 import helpers
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -115,3 +118,22 @@ def test_sweep_corpus_saves_and_loads_back(tmp_path):
     assert loaded.ids == ["len%02d_%d" % (n, i) for n in w.CORPUS_SYMBOLS
                           for i in range(w.CORPUS_PER_LENGTH)]
     assert loaded.sources == {u.utt_id: u.source for u in corpus}
+
+
+def test_train_and_sweep_outputs_have_the_pinned_bits(tmp_path):
+    """One train and one sweep round at seed 3 give the committed parameter
+    digest, epoch losses and sweep files (wall_ns blanked) bit for bit.
+    Regenerate with `python3 tests/golden.py --write` after a change that
+    means to alter them."""
+    pinned = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
+    here = golden.platform()
+    if here != pinned["platform"]:
+        pytest.skip("outputs were pinned on another platform; not comparable here: "
+                    + "; ".join("%s is %r, pinned on %r" % (key, here.get(key), value)
+                                for key, value in pinned["platform"].items()
+                                if here.get(key) != value))
+    got = golden.outputs(load_perfbench("workloads"), tmp_path)
+    want = pinned["outputs"]
+    assert got["train_digest"] == want["train_digest"]
+    assert got["epoch_losses"] == want["epoch_losses"]
+    assert got["sweep_files"] == want["sweep_files"]
