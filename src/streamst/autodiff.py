@@ -10,8 +10,8 @@ execution order.
 rule(g) closes over the op's inputs and forward intermediates and adds the
 output's gradient g into each input that requires grad.  backward() replays
 the tape in reverse, calling rule(out.grad) for every output the loss
-reaches.  With no tape active an op costs its numpy forward, its rule
-closure and one attribute read, so inference pays nothing for recording.
+reaches.  Code that never records, such as the decoder step, builds no
+Tensor or rule: it calls the ops' array-level forwards, _lstm_run and _attend.
 One op spans many steps: lstm runs a whole recurrence on plain arrays and
 records it as one node whose rule is backpropagation through time.  One
 stacked matmul forms every row's input product, bit for bit as a row at a
@@ -24,13 +24,13 @@ of np.maximum; only its rule pays for the argmax.
 The conv2d forward adds each output's products in the order of a scalar
 loop, so its outputs are bit-identical to that loop's; the streaming
 equivalence checks rely on it.  It writes the products of a group of input
-channels as rows and adds them with one np.add.reduce over that outer axis,
-which adds whole rows in order; a reduce over a contiguous axis, or to one
-element, would sum pairwise.  numpy 2.4.6 copies the operands of a multiply
-whose rows are narrower than a third of its ufunc buffer through a buffered
-iterator, at three to four times the cost per product, so a wide enough
-group's multiply runs under a buffer no wider than a row.  That changes
-speed only: the outputs are the same on any numpy version.
+channels as rows and adds them with _ordered_sum, which adds whole rows in
+order; a reduce over a contiguous axis would sum pairwise.  numpy 2.4.6
+copies the operands of a multiply whose rows are narrower than a third of
+its ufunc buffer through a buffered iterator, at three to four times the
+cost per product, so a wide enough group's multiply runs under a buffer no
+wider than a row.  That changes speed only: the outputs are the same on
+any numpy version.
 """
 
 from __future__ import annotations
@@ -273,6 +273,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _op(a.data @ b.data, (a, b), rule)
 
 
+def _attend(vd, wed, qd, wdd, sv) -> tuple:
+    """attention's forward on arrays: the (P, A) tanh scores, the (1, P) weights."""
+    if not (vd.ndim == wed.ndim == qd.ndim == wdd.ndim == 2 and len(vd) >= 1 and len(qd) == 1
+            and wed.shape[0] == vd.shape[1] and wdd.shape == (qd.shape[1], wed.shape[1])
+            and sv.shape == (wed.shape[1], 1)):
+        raise ShapeError("attention cannot score values %r with we %r, query %r, wd %r, v %r"
+                         % (vd.shape, wed.shape, qd.shape, wdd.shape, sv.shape))
+    e = np.tanh(vd @ wed + qd @ wdd)  # (P, A)
+    return e, _softmax((e @ sv).reshape(1, -1))  # the (P, 1) scores as a (1, P) row
+
+
 def attention(values: Tensor, we: Tensor, query: Tensor, wd: Tensor, v: Tensor) -> Tensor:
     """Additive attention weights over the (P, E) rows of values: the (1, P)
     softmax((tanh(values @ we + query @ wd) @ v).T) for a (1, D) query,
@@ -283,17 +294,11 @@ def attention(values: Tensor, we: Tensor, query: Tensor, wd: Tensor, v: Tensor) 
     repeats their rules' arithmetic in their order, so the weights and every
     gradient have the bits of those ops composed.
     """
-    vd, wed, qd, wdd, sv = values.data, we.data, query.data, wd.data, v.data
-    if not (vd.ndim == wed.ndim == qd.ndim == wdd.ndim == 2 and len(vd) >= 1 and len(qd) == 1
-            and wed.shape[0] == vd.shape[1] and wdd.shape == (qd.shape[1], wed.shape[1])
-            and sv.shape == (wed.shape[1], 1)):
-        raise ShapeError("attention cannot score values %r with we %r, query %r, wd %r, v %r"
-                         % (values.shape, we.shape, query.shape, wd.shape, v.shape))
     operands = (values, we, query, wd, v)
-    if any(t.data.dtype != vd.dtype for t in operands):
+    if any(t.data.dtype != values.data.dtype for t in operands):
         raise _mixed("attention", *operands)
-    e = np.tanh(vd @ wed + qd @ wdd)  # (P, A)
-    y = _softmax((e @ sv).reshape(1, -1))  # the (P, 1) scores as a (1, P) row
+    vd, wed, qd, wdd, sv = values.data, we.data, query.data, wd.data, v.data
+    e, y = _attend(vd, wed, qd, wdd, sv)
 
     def rule(g):
         ds = _softmax_grad(g, y).reshape(-1, 1)  # at the scores, (P, 1)
@@ -324,27 +329,13 @@ def _gate_affine(n: int, dtype) -> tuple:
     return half, shift
 
 
-def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
-         reverse: bool = False):
-    """An LSTM over the (T, F) rows of x from the (1, H) state (h0, c0).
-
-    Gate layout along the 4H axis is input, forget, cell, output.  Steps read
-    the rows in order, or last to first when reverse, and each keeps only its
-    h and c rows.  Returns the (T, H) hidden rows, row t from the step that
-    read row t, and the final h and c; the final h shares its row's gradient.
-    Every operand must have x's dtype; nothing is cast.  One stacked call
-    forms every row's input product, row by row as a (1, F) product would,
-    and each step adds its h product to its row: a fixed run of in-place
-    numpy calls in which one tanh activates the whole (1, 4H) gate row and c
-    and h go straight into their rows.  Its bits equal those of a cell built
-    from this module's ops.
-    """
-    xd, h, c, wxd, whd, bd = x.data, h0.data, c0.data, wx.data, wh.data, b.data
+def _lstm_run(xd, h, c, wxd, whd, bd, reverse: bool = False) -> tuple:
+    """lstm's checked forward on arrays: (T, 1, 4H) input products, (T, H) h and c rows."""
     n = whd.shape[0]
     if (xd.ndim != 2 or len(xd) < 1 or wxd.shape != (xd.shape[1], 4 * n) or whd.shape != (n, 4 * n)
             or bd.shape != (4 * n,) or h.shape != (1, n) or c.shape != (1, n)):
         raise ShapeError("lstm cannot run x %r from state %r, %r with weights %r, %r, %r"
-                         % (x.shape, h0.shape, c0.shape, wx.shape, wh.shape, b.shape))
+                         % (xd.shape, h.shape, c.shape, wxd.shape, whd.shape, bd.shape))
     t_len, dt = len(xd), xd.dtype
     if not h.dtype == c.dtype == wxd.dtype == whd.dtype == bd.dtype == dt:
         raise ContractError("lstm needs one dtype, got x %s, h0 %s, c0 %s, wx %s, wh %s, b %s"
@@ -377,6 +368,41 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
         add(c, zg, c)
         h = tanh_(c, h_t)
         mul(h, zo, h)
+    return xw, hs, cs
+
+
+def _gate_terms(xw, h_prev, c_prev, c, wh, b) -> tuple:
+    """(dc_dh, by_dc, by_dh, forget gate) of m lstm steps at once, from their
+    (m, 1, 4H) input products and (m, H) states: the input, forget and cell
+    gates' gradients are dc times by_dc, the output gate's dh times by_dh."""
+    n = wh.shape[0]
+    gates = (xw + np.matmul(h_prev[:, None, :], wh))[:, 0] + b
+    sig = _sigmoid(gates)
+    i, f, o = sig[:, :n], sig[:, n:2 * n], sig[:, 3 * n:]
+    cell, tc = np.tanh(gates[:, 2 * n:3 * n]), np.tanh(c)
+    by_dc = np.stack([cell * i * (1 - i), c_prev * f * (1 - f), i * (1 - cell * cell)], axis=1)
+    return o * (1 - tc * tc), by_dc, tc * o * (1 - o), f
+
+
+def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
+         reverse: bool = False):
+    """An LSTM over the (T, F) rows of x from the (1, H) state (h0, c0).
+
+    Gate layout along the 4H axis is input, forget, cell, output.  Steps read
+    the rows in order, or last to first when reverse, and each keeps only its
+    h and c rows.  Returns the (T, H) hidden rows, row t from the step that
+    read row t, and the final h and c; the final h shares its row's gradient.
+    Every operand must have x's dtype; nothing is cast.  One stacked call
+    forms every row's input product, row by row as a (1, F) product would,
+    and each step adds its h product to its row: a fixed run of in-place
+    numpy calls in which one tanh activates the whole (1, 4H) gate row and c
+    and h go straight into their rows.  Its bits equal those of a cell built
+    from this module's ops.
+    """
+    xd, wxd, whd = x.data, wx.data, wh.data
+    xw, hs, cs = _lstm_run(xd, h0.data, c0.data, wxd, whd, b.data, reverse)
+    (t_len, n), dt = hs.shape, hs.dtype
+    last = slice(0, 1) if reverse else slice(t_len - 1, None)  # the last step's row
 
     def rule(g):
         """Backpropagation through time: the gates are recomputed from the
@@ -386,15 +412,8 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
             hp, cp = np.concatenate([hs[1:], h0.data]), np.concatenate([cs[1:], c0.data])
         else:
             hp, cp = np.concatenate([h0.data, hs[:-1]]), np.concatenate([c0.data, cs[:-1]])
-        gates = (xw + np.matmul(hp[:, None, :], whd))[:, 0] + bd
-        sig = _sigmoid(gates)
-        i, f, o = sig[:, :n], sig[:, n:2 * n], sig[:, 3 * n:]
-        cell, tc = np.tanh(gates[:, 2 * n:3 * n]), np.tanh(cs)
-        dc_dh = o * (1 - tc * tc)
-        # input, forget and cell gate gradients are dc times by_dc, the output one dh times by_dh
-        by_dc = np.stack([cell * i * (1 - i), cp * f * (1 - f), i * (1 - cell * cell)], axis=1)
-        by_dh = tc * o * (1 - o)
-        dgates = np.empty_like(gates)
+        dc_dh, by_dc, by_dh, f = _gate_terms(xw, hp, cp, cs, whd, b.data)
+        dgates = np.empty((t_len, 4 * n), dtype=dt)
         dh_next = np.zeros_like(h0.data)
         dc_next = c_last.grad if c_last.grad is not None else np.zeros_like(c0.data)
         for t in (range(t_len) if reverse else range(t_len - 1, -1, -1)):  # last step first
@@ -412,11 +431,10 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
         _accum(b, dgates.sum(axis=0))
 
     out = _op(hs, (x, h0, c0, wx, wh, b), rule)
-    # h and c are the last step's rows of hs and cs
-    h_last, c_last = Tensor(h, out.requires_grad, dt), Tensor(c, out.requires_grad, dt)
+    h_last, c_last = (Tensor(a[last], out.requires_grad, dt) for a in (hs, cs))
     if out.requires_grad:  # allocated now, so the rule runs even if only the final c is reached
         out.grad = np.zeros_like(hs)
-        h_last.grad = out.grad[0:1] if reverse else out.grad[t_len - 1:]
+        h_last.grad = out.grad[last]
     return out, h_last, c_last
 
 
@@ -436,6 +454,17 @@ _INPLACE_MIN_COLUMNS = 128
 _INPLACE_MIN_PRODUCTS = 8192
 
 
+def _ordered_sum(rows, out) -> None:
+    """out[...] = rows[0] + rows[1] + ..., adding whole rows in order.  A
+    reduce over the outer axis does that from an initial -0.0, the addend
+    that changes no value (its default +0.0 turns -0.0 into 0.0), except
+    into one element, which it sums pairwise; there an accumulate does."""
+    if out.size == 1:
+        out[...] = np.add.accumulate(rows.reshape(-1))[-1]
+    else:
+        np.add.reduce(rows, axis=0, out=out, initial=-0.0)
+
+
 def _sum_taps(taps, weights, start, cols) -> None:
     """cols[co, q] = start[co] + taps[0, 0, 0, 0, q] * weights[0, 0, 0, co, 0] + ...
 
@@ -443,11 +472,10 @@ def _sum_taps(taps, weights, start, cols) -> None:
     products and their sums fit into _CONV_SCRATCH_BYTES, and through the
     input channels in groups of as many as then fit.  For each group, one
     multiply writes every tap product into rows 1... of a buffer whose row 0
-    holds the sums so far, starting from start, and one np.add.reduce over
+    holds the sums so far, starting from start, and one _ordered_sum over
     that outer axis adds the rows elementwise in (ci, i, j) row-major order,
-    as a scalar loop does.  The reduce writes to a contiguous row of its
-    own; into a strided view of cols it runs slower.  A reduce to one
-    element would sum pairwise, so such a tile is widened by a zero column.
+    as a scalar loop does.  The sum writes to a contiguous row of its own;
+    into a strided view of cols it runs slower.
 
     A group's multiply of at least _INPLACE_MIN_COLUMNS columns and
     _INPLACE_MIN_PRODUCTS products, whose rows are narrower than a third of
@@ -460,18 +488,15 @@ def _sum_taps(taps, weights, start, cols) -> None:
     c_in, kh, kw, c_out, _ = weights.shape
     n, k, row = cols.shape[1], kh * kw, c_out * cols.itemsize
     tile = min(n, max(1, _CONV_SCRATCH_BYTES // ((k + 1) * row)))
-    # a group's products, the sums so far and the reduce's output row
+    # a group's products, the sums so far and the sum's output row
     group = min(c_in, max(1, (_CONV_SCRATCH_BYTES // (tile * row) - 2) // k))
-    scratch = np.empty((group * k + 2) * c_out * max(tile, 2), dtype=cols.dtype)
+    scratch = np.empty((group * k + 2) * c_out * tile, dtype=cols.dtype)
     for q0 in range(0, n, tile):
         m = min(tile, n - q0)
-        width = 2 if c_out * m == 1 else m
-        buf = scratch[:(group * k + 2) * c_out * width].reshape(group * k + 2, c_out, width)
+        buf = scratch[:(group * k + 2) * c_out * m].reshape(group * k + 2, c_out, m)
         sums, rows = buf[0], buf[1:]
-        prods = rows[1:].reshape(group, kh, kw, c_out, width)[..., :m]
-        if width > m:
-            rows[:, :, m:] = 0  # the reduce reads this column; scratch garbage could raise
-        rows[0, :, :m] = start
+        prods = rows[1:].reshape(group, kh, kw, c_out, m)
+        rows[0] = start
         for c0 in range(0, c_in, group):
             g = min(group, c_in - c0)
             if c0:
@@ -486,8 +511,8 @@ def _sum_taps(taps, weights, start, cols) -> None:
                     np.setbufsize(size)
             else:
                 np.multiply(a, b, out=out)
-            np.add.reduce(rows[:g * k + 1], axis=0, out=sums)
-        cols[:, q0:q0 + m] = sums[:, :m]
+            _ordered_sum(rows[:g * k + 1], sums)
+        cols[:, q0:q0 + m] = sums
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,

@@ -103,12 +103,12 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
         stream.feed(frames[consumed:bound], is_last=is_last)
         consumed = bound
         ms = bound * FRAME_MS
-        enc = stream.outputs
-        if enc is None:
+        if stream.outputs is None:
             if is_last:
                 raise InsufficientFramesError(
                     "utterance %r yields no encoder positions" % (plan.utt_id,))
             continue  # not enough input yet for a single position
+        enc = stream.outputs.data
         cap = policy.cap(stream.positions)
         budget = len(out_ids) + policy.write_tokens
         while is_last or len(out_ids) < budget:
@@ -117,7 +117,7 @@ def simulate(frames: np.ndarray, plan: SegmentationPlan, policy: DecodePolicy,
                     truncated = True
                 break
             logits, new_state, _ = decode_step(prev, state, enc, params, cfg)
-            token = int(np.argmax(logits.data[0]))
+            token = int(np.argmax(logits[0]))
             if token == EOS_ID:
                 if not is_last:
                     suppressed += 1

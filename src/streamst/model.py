@@ -3,15 +3,16 @@ decoder, parameter initialisation, and checkpoint serialisation.
 
 The front end applies two convolution blocks, each halving the time and
 feature axes, so T input frames become floor(floor(T/2)/2) encoder positions.
-Every LSTM layer, in the encoder and in the decoder, is one autodiff.lstm
-call: its time loop runs on plain arrays inside one tape node, and its
-backward is backpropagation through time.  Each input row's product with wx
-is the (1, F) row product, whatever the chunk around it, so encoding a
-sequence in chunks with carried state is bit-identical to encoding it in one
-pass.  lstm forms them in one stacked (T, 1, F) by (F, 4H) matmul, which runs
-that row product once per row.  A 2-d (T, F) by (F, 4H) sgemm would break
-it: with OpenBLAS 0.3.31, rows of a (64, 64) by (64, 256) sgemm differ from
-the row-by-row products.
+Every encoder LSTM layer is one autodiff.lstm call: its time loop runs on
+plain arrays inside one tape node, and its backward is backpropagation
+through time.  The decoder step runs on arrays and records nothing; its
+LSTM layers run the same loop, autodiff._lstm_run.  Each input row's product
+with wx is the (1, F) row product, whatever the chunk around it, so encoding
+a sequence in chunks with carried state is bit-identical to encoding it in
+one pass.  The loop forms them in one stacked (T, 1, F) by (F, 4H) matmul,
+which runs that row product once per row.  A 2-d (T, F) by (F, 4H) sgemm
+would break it: with OpenBLAS 0.3.31, rows of a (64, 64) by (64, 256) sgemm
+differ from the row-by-row products.
 """
 
 from __future__ import annotations
@@ -253,31 +254,36 @@ def encode_utterance(frames, params: Parameters, cfg: ModelConfig) -> ad.Tensor:
 
 
 def init_decoder_state(cfg: ModelConfig) -> list:
-    return [zero_state(cfg.hidden) for _ in range(2)]
+    return [tuple(np.zeros((1, cfg.hidden), np.float32) for _ in range(2)) for _ in range(2)]
 
 
-def decode_step(prev_token: int, state: list, enc_outputs: ad.Tensor,
+def decode_step(prev_token: int, state: list, enc_outputs: np.ndarray,
                 params: Parameters, cfg: ModelConfig):
-    """One decoder step: attend over encoder outputs, advance both LSTM
-    layers, and produce next-token logits.
-
-    Returns (logits (1, V), new_state, attention weights (1, P)).
+    """One decoder step on arrays, recording nothing: attend over the
+    (P, enc_out) encoder outputs, advance both LSTM layers from their (h, c)
+    pairs, and produce next-token logits.  Returns (logits (1, V), new_state,
+    attention weights (1, P)) with the bits of the autodiff ops that compose
+    the step, whose numpy calls it makes in their order.  enc_outputs and the
+    state must have the weights' dtype.
     """
-    if enc_outputs.data.ndim != 2 or enc_outputs.shape[0] < 1:
+    if enc_outputs.ndim != 2 or enc_outputs.shape[0] < 1:
         raise ContractError("decode_step needs non-empty encoder outputs, got %r"
                             % (enc_outputs.shape,))
     if not (0 <= prev_token < cfg.vocab_size):
         raise ContractError("token id %d outside vocabulary of size %d"
                             % (prev_token, cfg.vocab_size))
-    emb = ad.row(params["embed"], prev_token)
+    dtypes = [enc_outputs.dtype] + [a.dtype for pair in state for a in pair]
+    if any(dt != params["embed"].dtype for dt in dtypes):
+        raise ContractError("decode_step needs the weights' dtype %s for its encoder outputs and "
+                            "state, got %s" % (params["embed"].dtype, ", ".join(map(str, dtypes))))
     query = state[1][0]  # top layer hidden drives attention
-    attn = ad.attention(enc_outputs, params["attn_enc"], query, params["attn_dec"],
-                        params["attn_v"])         # (1, P)
-    context = ad.matmul(attn, enc_outputs)        # (1, enc_out)
-    x = ad.concat_last(emb, context)
-    hs0, h0, c0 = ad.lstm(x, *state[0], *_weights(params, "dec0"))
-    hs1, h1, c1 = ad.lstm(hs0, *state[1], *_weights(params, "dec1"))
-    logits = ad.add(ad.matmul(ad.concat_last(hs1, context), params["out_w"]), params["out_b"])
+    _, attn = ad._attend(enc_outputs, params["attn_enc"].data, query, params["attn_dec"].data,
+                         params["attn_v"].data)  # (1, P)
+    context = attn @ enc_outputs  # (1, enc_out)
+    x = np.concatenate([params["embed"].data[prev_token:prev_token + 1], context], axis=-1)
+    _, h0, c0 = ad._lstm_run(x, *state[0], *(w.data for w in _weights(params, "dec0")))
+    _, h1, c1 = ad._lstm_run(h0, *state[1], *(w.data for w in _weights(params, "dec1")))
+    logits = np.concatenate([h1, context], axis=-1) @ params["out_w"].data + params["out_b"].data
     return logits, [(h0, c0), (h1, c1)], attn
 
 

@@ -20,12 +20,12 @@ characters.  Reversed-order utterances are exempt.
 
 The loss of one utterance records its encoder op by op, and its decoder and
 loss as one tape node, the way autodiff.lstm records a recurrence.  The
-node's forward is decode_step, once per target token, with nothing recorded.
+node's forward is decode_step, once per target token, on plain arrays.
 Its rule is backpropagation through time over the attention, both decoder
 LSTM layers, the output layer, the log-softmax picks and the guide, with the
-bits of those ops composed: each parameter gets its per-step terms last step
-first, in one np.add.reduce over rows that start from its existing gradient,
-and embed's rows get theirs through np.add.at, last step first.
+bits of those ops composed: lstm's own gate terms (autodiff._gate_terms),
+each parameter's per-step terms last step first in one ordered sum
+(autodiff._ordered_sum) from its existing gradient, embed's through np.add.at.
 """
 
 from __future__ import annotations
@@ -111,24 +111,19 @@ def utterance_loss(frames: np.ndarray, target: str, params: Parameters,
     meaningful for monotone length-preserving targets.
 
     The encoder is recorded op by op; the decoder and the loss are one tape
-    node.  Its forward is decode_step, called once per token on tensors that
-    share the arrays of the encoder outputs and the parameters but do not
-    require grad, so nothing inside it is recorded.  Its rule,
-    _decoder_rule, adds into each input what the composed ops' rules would,
-    with their bits and in their order: every step's term, last step first.
+    node.  Its forward is decode_step, called once per token on the arrays
+    of the encoder outputs and the parameters.  Its rule, _decoder_rule,
+    adds into each input what the composed ops' rules would, with their bits
+    and in their order: every step's term, last step first.
     """
     vocab = Vocab(cfg.vocab)
     token_ids = vocab.encode(target) + [EOS_ID]
     enc = encode_utterance(np.asarray(frames, dtype=np.float32), params, cfg)
     weights = [params[name] for name in _DECODER_PARAMETERS]
-    frozen = Parameters([(name, ad.Tensor(w.data, dtype=w.dtype))
-                         for name, w in zip(_DECODER_PARAMETERS, weights)])
-    values = ad.Tensor(enc.data, dtype=enc.dtype)
-    state, prev, steps = init_decoder_state(cfg), BOS_ID, []
-    for tok in token_ids:
-        logits, state, attn = decode_step(prev, state, values, frozen, cfg)
-        steps.append((logits.data, attn.data, [(h.data, c.data) for h, c in state]))
-        prev = tok
+    state, steps = init_decoder_state(cfg), []
+    for prev in [BOS_ID] + token_ids[:-1]:  # each step reads the previous target token
+        logits, state, attn = decode_step(prev, state, enc.data, params, cfg)
+        steps.append((logits, attn, state))
     m, dt = len(token_ids), enc.dtype
     probs = ad._softmax(np.concatenate([logits for logits, _, _ in steps]))  # (m, V)
     # the loss adds these rows in this order: each step's log-probability of
@@ -150,32 +145,11 @@ def utterance_loss(frames: np.ndarray, target: str, params: Parameters,
     return ad._op(total * -1.0, (enc, *weights), rule), m
 
 
-def _gate_terms(x, h_prev, c_prev, c, wx, wh, b) -> tuple:
-    """The terms autodiff.lstm's rule computes for a one-step call, with its
-    bits, for m such calls at once from their (m, .) rows: (dc_dh, by_dc,
-    by_dh, forget gate)."""
-    n = wh.shape[0]
-    gates = (np.matmul(x[:, None, :], wx.data) + np.matmul(h_prev[:, None, :], wh.data))[:, 0]
-    gates += b.data.reshape(1, 4 * n)
-    sig = ad._sigmoid(gates)
-    i, f, o = sig[:, :n], sig[:, n:2 * n], sig[:, 3 * n:]
-    cell, tc = np.tanh(gates[:, 2 * n:3 * n]), np.tanh(c)
-    by_dc = np.stack([cell * i * (1 - i), c_prev * f * (1 - f), i * (1 - cell * cell)], axis=1)
-    return o * (1 - tc * tc), by_dc, tc * o * (1 - o), f
-
-
 def _add_rows(t: ad.Tensor, rows: np.ndarray) -> None:
-    """t.grad += rows[1]; t.grad += rows[2]; ..., with the bits of those adds:
-    one np.add.reduce over the outer axis, which adds whole rows in order.
-    rows[0] is scratch for the gradient so far.  A reduce to one element
-    would sum pairwise, so a one-element gradient accumulates instead."""
-    if not t.requires_grad:
-        return
-    rows[0] = t.ensure_grad()
-    if rows[0].size == 1:
-        t.grad[...] = np.add.accumulate(rows.reshape(-1))[-1]
-    else:
-        np.add.reduce(rows, axis=0, out=t.grad)
+    """t.grad += rows[1]; t.grad += rows[2]; ..., bit for bit; rows[0] is scratch."""
+    if t.requires_grad:
+        rows[0] = t.ensure_grad()
+        ad._ordered_sum(rows, t.grad)
 
 
 def _scratch(t: ad.Tensor, terms: int) -> np.ndarray:
@@ -234,8 +208,9 @@ def _decoder_rule(g, enc, weights, cfg, token_ids, steps, probs, guide_weight, w
             ga0[t, lo:hi] = term[t]
     e = np.tanh(vd @ we.data + np.matmul(h1_prev[:, None, :], wd.data))  # (m, P, A)
     tanh_grad = 1 - e * e
-    dc_dh0, by_dc0, by_dh0, f0 = _gate_terms(x0, h0_prev, c0_prev, c0, wx0, wh0, b0)
-    dc_dh1, by_dc1, by_dh1, f1 = _gate_terms(h0, h1_prev, c1_prev, c1, wx1, wh1, b1)
+    xw0, xw1 = np.matmul(x0[:, None, :], wx0.data), np.matmul(h0[:, None, :], wx1.data)
+    dc_dh0, by_dc0, by_dh0, f0 = ad._gate_terms(xw0, h0_prev, c0_prev, c0, wh0.data, b0.data)
+    dc_dh1, by_dc1, by_dh1, f1 = ad._gate_terms(xw1, h1_prev, c1_prev, c1, wh1.data, b1.data)
     dg0, dg1 = np.empty((m, 4 * n), dtype=dt), np.empty((m, 4 * n), dtype=dt)
     gctx, gemb = np.empty_like(ctx), np.empty((m, n_emb), dtype=dt)
     ds, dse, dq = np.empty_like(attn), np.empty_like(e), np.empty((m, e.shape[2]), dtype=dt)

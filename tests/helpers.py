@@ -5,8 +5,8 @@ convolution and pooling references iterate one output element at a time with
 plain python loops; the gradient check runs the same computation graph in
 float64 and differentiates it numerically with central differences.  The
 decoding references keep separate greedy loops for mid-stream reads, the
-final read and offline translation, and the teacher-forced loss is composed
-of tape ops step by step.  The LSTM references are the cell
+final read and offline translation, and run the decoder step composed of
+tape ops, as does the teacher-forced loss.  The LSTM references are the cell
 composed of tape ops, for gradients, and a plain-array cell that activates
 each gate slice on its own, for outputs.
 """
@@ -17,8 +17,7 @@ from streamst import autodiff as ad
 from streamst import decoder as dec
 from streamst.encoding import EncoderStream
 from streamst.errors import ConfigError, InsufficientFramesError
-from streamst.model import (BOS_ID, EOS_ID, Vocab, decode_step, encode_utterance,
-                            init_decoder_state)
+from streamst.model import BOS_ID, EOS_ID, Vocab, _weights, encode_utterance, zero_state
 from streamst.synthetic import LoadedCorpus
 
 
@@ -74,6 +73,28 @@ def conv2d_backward_loop(x, k, g, padding="same"):
     return dxp[:, ph:ph + h, pw:pw + w], dk, g.sum(axis=(1, 2))
 
 
+def init_decoder_state_ops(cfg, dtype=np.float32):
+    """decode_step_ops' fresh state: two (h, c) pairs of zero tensors."""
+    return [zero_state(cfg.hidden, dtype) for _ in range(2)]
+
+
+def decode_step_ops(prev_token, state, enc_outputs, params, cfg):
+    """Decoder step oracle composed of tape ops, on tensors: attention,
+    context, both LSTM layers and the output layer, each an op of its own.
+    This is how model.decode_step ran before it took arrays; under a tape
+    it records every op, so gradients flow through it."""
+    emb = ad.row(params["embed"], prev_token)
+    query = state[1][0]  # top layer hidden drives attention
+    attn = ad.attention(enc_outputs, params["attn_enc"], query, params["attn_dec"],
+                        params["attn_v"])  # (1, P)
+    context = ad.matmul(attn, enc_outputs)  # (1, enc_out)
+    x = ad.concat_last(emb, context)
+    hs0, h0, c0 = ad.lstm(x, *state[0], *_weights(params, "dec0"))
+    hs1, h1, c1 = ad.lstm(hs0, *state[1], *_weights(params, "dec1"))
+    logits = ad.add(ad.matmul(ad.concat_last(hs1, context), params["out_w"]), params["out_b"])
+    return logits, [(h0, c0), (h1, c1)], attn
+
+
 def simulate_loop(frames, plan, policy, params, cfg, strategy):
     """Read/write loop oracle with one greedy loop per kind of read."""
     frames = np.asarray(frames, dtype=np.float32)
@@ -82,7 +103,7 @@ def simulate_loop(frames, plan, policy, params, cfg, strategy):
                           % (plan.total_frames, len(frames)))
     vocab = Vocab(cfg.vocab)
     stream = EncoderStream(strategy, params, cfg)
-    state = init_decoder_state(cfg)
+    state = init_decoder_state_ops(cfg)
     prev = BOS_ID
     out_ids = []
     tokens = []
@@ -105,7 +126,7 @@ def simulate_loop(frames, plan, policy, params, cfg, strategy):
             for _ in range(policy.write_tokens):
                 if len(out_ids) >= policy.cap(stream.positions):
                     break
-                logits, new_state, _ = decode_step(prev, state, enc, params, cfg)
+                logits, new_state, _ = decode_step_ops(prev, state, enc, params, cfg)
                 token = int(np.argmax(logits.data[0]))
                 if token == EOS_ID:
                     suppressed += 1
@@ -120,7 +141,7 @@ def simulate_loop(frames, plan, policy, params, cfg, strategy):
                 if len(out_ids) >= policy.cap(stream.positions):
                     truncated = True
                     break
-                logits, new_state, _ = decode_step(prev, state, enc, params, cfg)
+                logits, new_state, _ = decode_step_ops(prev, state, enc, params, cfg)
                 token = int(np.argmax(logits.data[0]))
                 if token == EOS_ID:
                     break
@@ -140,11 +161,11 @@ def offline_translate_loop(frames, params, cfg, policy=None):
     vocab = Vocab(cfg.vocab)
     enc = encode_utterance(np.asarray(frames, dtype=np.float32), params, cfg)
     cap = policy.cap(enc.shape[0])
-    state = init_decoder_state(cfg)
+    state = init_decoder_state_ops(cfg)
     prev = BOS_ID
     out_ids = []
     while len(out_ids) < cap:
-        logits, state, _ = decode_step(prev, state, enc, params, cfg)
+        logits, state, _ = decode_step_ops(prev, state, enc, params, cfg)
         token = int(np.argmax(logits.data[0]))
         if token == EOS_ID:
             break
@@ -154,20 +175,20 @@ def offline_translate_loop(frames, params, cfg, policy=None):
 
 
 def utterance_loss_ops(frames, target, params, cfg, guide_weight=0.0):
-    """Teacher-forced loss oracle composed of tape ops: decode_step once per
-    token on the recorded encoder outputs, then log, softmax and a slice per
+    """Teacher-forced loss oracle composed of tape ops: decode_step_ops once
+    per token on the recorded encoder outputs, then log, softmax and a slice per
     token, and the guide's window terms, stacked and summed.  This is how
     training.utterance_loss recorded the decoder before it became one node;
     returns (loss tensor, token count)."""
     token_ids = Vocab(cfg.vocab).encode(target) + [EOS_ID]
     enc = encode_utterance(np.asarray(frames, dtype=np.float32), params, cfg)
-    state = init_decoder_state(cfg)
+    state = init_decoder_state_ops(cfg)
     prev = BOS_ID
     picked = []
     p_len = enc.shape[0]
     n_sym = max(1, len(target))
     for i, tok in enumerate(token_ids):
-        logits, state, attn = decode_step(prev, state, enc, params, cfg)
+        logits, state, attn = decode_step_ops(prev, state, enc, params, cfg)
         logp = ad.log(ad.softmax(logits))
         picked.append(ad.slice_last(logp, tok, tok + 1))
         if guide_weight > 0.0:
@@ -266,6 +287,20 @@ def matmul_loop(a, b):
                 acc = acc + a[i, p] * b[p, j]
             y[i, j] = acc
     return y
+
+
+def tensors_built(monkeypatch):
+    """A list that gains an entry for every Tensor constructed from now on,
+    until monkeypatch undoes its patches."""
+    built = []
+    init = ad.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting)
+    return built
 
 
 def fd_gradcheck(build, arrays, h=1e-3, rtol=1e-3, atol=1e-5, analytic_floor=1e-4):

@@ -262,10 +262,11 @@ class TestConv2d:
             ad.conv2d(t(x), t(k), padding="valid")
         assert np.getbufsize() == before
 
-    def test_widened_column_is_zeroed(self, monkeypatch):
-        # A one-output tile is widened by a column that the reduce sums too.
-        # Left as scratch garbage, here 0, inf, 0, -inf, ..., it would raise
-        # under np.errstate(all="raise"), or leave a warning behind.
+    def test_one_element_sum_reads_no_scratch_garbage(self, monkeypatch):
+        # A one-output, one-column tile sums into one element.  Scratch it
+        # has not written, here 0, inf, 0, -inf, ..., must not reach that
+        # sum: it would raise under np.errstate(all="raise"), or leave a
+        # warning behind.
         empty = np.empty
 
         def dirty_empty(*args, **kwargs):

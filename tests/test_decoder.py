@@ -149,6 +149,22 @@ class TestSimulate:
             dec.simulate(frames, fixed_plan(3, k=8, s=8), dec.DecodePolicy(),
                          uni_params, uni_cfg, "ulstm-reencode")
 
+    def test_constructs_no_tensor_per_decoder_step(self, uni_cfg, monkeypatch):
+        """With end-of-sequence blocked, writing 1 or 8 tokens after one read
+        builds the same tensors: the encoder's."""
+        params = rigged_params(uni_cfg, seed=13, eos_logit=-1e9)
+        frames = utterance(40, uni_cfg.feat_dim, seed=13)
+        built = helpers.tensors_built(monkeypatch)
+        counts = []
+        for cap in (1, 8):
+            before = len(built)
+            trace = dec.simulate(frames, SegmentationPlan("capped", 40, (40,)),
+                                 dec.DecodePolicy(max_target_factor=0.0, max_target_slack=cap),
+                                 params, uni_cfg, "ulstm-reencode")
+            assert len(trace.tokens) == cap
+            counts.append(len(built) - before)
+        assert counts[0] == counts[1] > 0
+
     def test_token_field_is_text(self, uni_cfg, uni_params):
         frames = utterance(60, uni_cfg.feat_dim, seed=6)
         plan = fixed_plan(60, k=16, s=8)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streamst import autodiff as ad
 from streamst import model as md
@@ -404,50 +404,101 @@ class TestEncoder:
 
 class TestDecodeStep:
     def test_single_position_gets_full_attention(self, small_cfg, small_params):
-        enc = ad.Tensor(frames_for(1, small_cfg.enc_out, seed=7))
+        enc = frames_for(1, small_cfg.enc_out, seed=7)
         _, _, attn = md.decode_step(md.BOS_ID, md.init_decoder_state(small_cfg),
                                     enc, small_params, small_cfg)
-        np.testing.assert_allclose(attn.data, [[1.0]], atol=1e-7)
+        np.testing.assert_allclose(attn, [[1.0]], atol=1e-7)
 
     def test_attention_sums_to_one(self, small_cfg, small_params):
-        enc = ad.Tensor(frames_for(9, small_cfg.enc_out, seed=8))
+        enc = frames_for(9, small_cfg.enc_out, seed=8)
         _, _, attn = md.decode_step(md.BOS_ID, md.init_decoder_state(small_cfg),
                                     enc, small_params, small_cfg)
         assert attn.shape == (1, 9)
-        assert abs(float(attn.data.sum()) - 1.0) < 1e-6
+        assert abs(float(attn.sum()) - 1.0) < 1e-6
 
     def test_attention_matches_independent_formula(self, small_cfg, small_params):
         """Recompute the additive attention weights with raw numpy."""
         enc = frames_for(5, small_cfg.enc_out, seed=9).astype(np.float64)
         state = md.init_decoder_state(small_cfg)
-        _, _, attn = md.decode_step(md.BOS_ID, state, ad.Tensor(enc.astype(np.float32)),
+        _, _, attn = md.decode_step(md.BOS_ID, state, enc.astype(np.float32),
                                     small_params, small_cfg)
-        q = state[1][0].data.astype(np.float64)
+        q = state[1][0].astype(np.float64)
         e = np.tanh(enc @ small_params["attn_enc"].data.astype(np.float64)
                     + q @ small_params["attn_dec"].data.astype(np.float64))
         s = (e @ small_params["attn_v"].data.astype(np.float64))[:, 0]
         w = np.exp(s - s.max())
         w /= w.sum()
-        np.testing.assert_allclose(attn.data[0], w, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(attn[0], w, rtol=1e-4, atol=1e-6)
 
     def test_logit_width_and_state_advance(self, small_cfg, small_params):
-        enc = ad.Tensor(frames_for(4, small_cfg.enc_out, seed=10))
+        enc = frames_for(4, small_cfg.enc_out, seed=10)
         state = md.init_decoder_state(small_cfg)
         logits, new_state, _ = md.decode_step(md.BOS_ID, state, enc, small_params, small_cfg)
         assert logits.shape == (1, small_cfg.vocab_size)
-        assert not np.array_equal(new_state[0][0].data, state[0][0].data)
+        assert not np.array_equal(new_state[0][0], state[0][0])
 
     def test_empty_encoder_outputs_rejected(self, small_cfg, small_params):
-        empty = ad.Tensor(np.zeros((0, small_cfg.enc_out), np.float32))
+        empty = np.zeros((0, small_cfg.enc_out), np.float32)
         with pytest.raises(ContractError):
             md.decode_step(md.BOS_ID, md.init_decoder_state(small_cfg), empty,
                            small_params, small_cfg)
 
     def test_bad_token_rejected(self, small_cfg, small_params):
-        enc = ad.Tensor(frames_for(2, small_cfg.enc_out, seed=11))
+        enc = frames_for(2, small_cfg.enc_out, seed=11)
         with pytest.raises(ContractError):
             md.decode_step(small_cfg.vocab_size, md.init_decoder_state(small_cfg),
                            enc, small_params, small_cfg)
+
+    @pytest.mark.parametrize("operand", ["encoder outputs", "state"])
+    def test_dtype_other_than_the_weights_rejected(self, small_cfg, small_params, operand):
+        """float64 encoder outputs or state with float32 weights are refused
+        by name, not cast and not left to numpy's own error."""
+        enc = frames_for(3, small_cfg.enc_out, seed=12)
+        state = md.init_decoder_state(small_cfg)
+        if operand == "state":
+            state[1] = (state[1][0].astype(np.float64), state[1][1])
+        else:
+            enc = enc.astype(np.float64)
+        with pytest.raises(ContractError, match="weights' dtype float32 .*got .*float64"):
+            md.decode_step(md.BOS_ID, state, enc, small_params, small_cfg)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(hidden=st.integers(1, 32), attn_dim=st.integers(1, 32), embed_dim=st.integers(1, 16),
+           bidirectional=st.booleans(), n_symbols=st.integers(1, 21),
+           positions=st.integers(1, 500), steps=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+    @example(hidden=32, attn_dim=32, embed_dim=16, bidirectional=True, n_symbols=21,
+             positions=500, steps=3, seed=0)
+    def test_has_the_bits_of_the_composed_ops(self, hidden, attn_dim, embed_dim, bidirectional,
+                                              n_symbols, positions, steps, seed):
+        """Logits, attention weights and both new (h, c) pairs equal those of
+        helpers.decode_step_ops bit for bit, from a carried state, over
+        sizes up to the toy model's and either direction's encoder width."""
+        cfg = md.ModelConfig(enc_layers=1, hidden=hidden, bidirectional=bidirectional,
+                             attn_dim=attn_dim, embed_dim=embed_dim,
+                             vocab="ABCDEFGHIJKLMNOPQRST "[:n_symbols])
+        params = md.create_parameters(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        enc = rng.uniform(-1.0, 1.0, size=(positions, cfg.enc_out)).astype(np.float32)
+        state = [tuple(rng.uniform(-1.0, 1.0, size=(1, hidden)).astype(np.float32)
+                       for _ in range(2)) for _ in range(2)]
+        ops_state = [tuple(ad.Tensor(a) for a in pair) for pair in state]
+        for token in rng.integers(0, cfg.vocab_size, size=steps).tolist():
+            got = md.decode_step(token, state, enc, params, cfg)
+            want = helpers.decode_step_ops(token, ops_state, ad.Tensor(enc), params, cfg)
+            (logits, state, attn), (want_logits, ops_state, want_attn) = got, want
+            pairs = [(logits, want_logits), (attn, want_attn)] + [
+                (a, t) for pair, ops_pair in zip(state, ops_state) for a, t in zip(pair, ops_pair)]
+            for a, t in pairs:
+                assert (a.dtype, a.shape, a.tobytes()) == (t.dtype, t.shape, t.data.tobytes())
+
+    def test_constructs_no_tensor(self, small_cfg, small_params, monkeypatch):
+        built = helpers.tensors_built(monkeypatch)
+        state = md.init_decoder_state(small_cfg)
+        for token in (md.BOS_ID, 3, 4):
+            _, state, _ = md.decode_step(token, state, frames_for(6, small_cfg.enc_out),
+                                         small_params, small_cfg)
+        assert built == []
 
 
 class TestInit:
@@ -493,11 +544,11 @@ class TestWholeModelGradients:
             params = md.Parameters(list(zip(names, tensors)))
             feats = md.vgg_forward(md.ad.Tensor(frames, dtype=tensors[0].dtype), params, cfg)
             enc, _ = md.encoder_forward(feats, params, cfg)
-            state = [md.zero_state(cfg.hidden, tensors[0].dtype) for _ in range(2)]
+            state = helpers.init_decoder_state_ops(cfg, tensors[0].dtype)
             prev = md.BOS_ID
             picked = []
             for tok in targets:
-                logits, state, _ = md.decode_step(prev, state, enc, params, cfg)
+                logits, state, _ = helpers.decode_step_ops(prev, state, enc, params, cfg)
                 logp = ad.log(ad.softmax(logits))
                 picked.append(ad.slice_last(logp, tok, tok + 1))
                 prev = tok

@@ -72,6 +72,20 @@ def test_loss_backward_reaches_all_parameters(cfg, params, corpus):
         assert np.isfinite(t.grad).all(), name
 
 
+def test_loss_constructs_no_tensor_per_target_token(cfg, params, corpus, monkeypatch):
+    """A one-symbol and a longer target on the same frames build the same
+    tensors: the encoder's and the loss node's."""
+    utt = corpus[0]
+    built = helpers.tensors_built(monkeypatch)
+    counts = []
+    for target in (utt.target[:1], utt.target):
+        before = len(built)
+        with ad.Tape():
+            utterance_loss(utt.frames, target, params, cfg, guide_weight=0.5)
+        counts.append(len(built) - before)
+    assert len(utt.target) > 1 and counts[0] == counts[1]
+
+
 def test_guide_window_covers_the_symbol_at_any_frame_rate():
     """At 16 frames per symbol a target character owns four encoder
     positions; the guide term pays for the attention mass outside them."""
@@ -86,8 +100,8 @@ def test_guide_window_covers_the_symbol_at_any_frame_rate():
     assert enc.shape[0] == 4 * len(utt.target)
     state, prev, want = init_decoder_state(cfg), BOS_ID, 0.0
     for i, tok in enumerate(Vocab(cfg.vocab).encode(utt.target) + [EOS_ID]):
-        _, state, attn = decode_step(prev, state, enc, params, cfg)
-        window = attn.data[0, 4 * i:4 * i + 4] if tok != EOS_ID else attn.data[0, -1:]
+        _, state, attn = decode_step(prev, state, enc.data, params, cfg)
+        window = attn[0, 4 * i:4 * i + 4] if tok != EOS_ID else attn[0, -1:]
         want -= math.log(float(window.sum(dtype=np.float64)))
         prev = tok
     assert float(guided.data) - float(plain.data) == pytest.approx(want, rel=1e-4)
