@@ -282,6 +282,15 @@ class TestConv2d:
             got = ad.conv2d(t(x), t(k), t([1.0]), padding="valid").data
         assert got.tolist() == [[[37.0]]]
 
+    def test_negative_zero_outputs_keep_the_loop_sign(self):
+        # bias -0.0 and products that are all -0.0 sum to -0.0 in the loop;
+        # a reduce from its default +0.0 would give 0.0
+        x = np.zeros((1, 3, 3), dtype=np.float32)
+        k, bias = -np.ones((1, 1, 3, 3), dtype=np.float32), np.array([-0.0], dtype=np.float32)
+        got = ad.conv2d(t(x), t(k), t(bias)).data
+        assert got.tobytes() == helpers.conv2d_loop(x, k, bias).tobytes()
+        assert np.signbit(got).all()
+
     def test_channel_groups_carry_their_sums(self):
         # 8 outputs over 40x8 "same" give 334 columns, and 256 KiB of scratch
         # then holds the products of two input channels: groups of 2, 2 and 1

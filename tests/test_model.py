@@ -451,8 +451,8 @@ class TestDecodeStep:
 
     @pytest.mark.parametrize("operand", ["encoder outputs", "state"])
     def test_dtype_other_than_the_weights_rejected(self, small_cfg, small_params, operand):
-        """float64 encoder outputs or state with float32 weights are refused
-        by name, not cast and not left to numpy's own error."""
+        """float64 encoder outputs or state with float32 weights are refused,
+        naming both dtypes, rather than promoted."""
         enc = frames_for(3, small_cfg.enc_out, seed=12)
         state = md.init_decoder_state(small_cfg)
         if operand == "state":
@@ -461,7 +461,6 @@ class TestDecodeStep:
             enc = enc.astype(np.float64)
         with pytest.raises(ContractError, match="weights' dtype float32 .*got .*float64"):
             md.decode_step(md.BOS_ID, state, enc, small_params, small_cfg)
-
 
     @settings(max_examples=100, deadline=None)
     @given(hidden=st.integers(1, 32), attn_dim=st.integers(1, 32), embed_dim=st.integers(1, 16),
