@@ -18,8 +18,9 @@ stacked matmul forms every row's input product, bit for bit as a row at a
 time would; each step runs in place in buffers allocated once per call,
 with one tanh, and the rule reuses the forward's row products.  attention
 records the decoder's additive attention weights as one node: its forward
-and rule make the numpy calls of the seven ops it replaces, in their order,
-so its weights and gradients have their bits.  maxpool2d's forward is a chain
+and rule (_attention_grads, which training's decoder node calls too) repeat
+the arithmetic of the seven ops it replaces, in their order, so its weights
+and gradients have their bits.  maxpool2d's forward is a chain
 of np.maximum; only its rule pays for the argmax.
 The conv2d forward adds each output's products in the order of a scalar
 loop, so its outputs are bit-identical to that loop's; the streaming
@@ -284,6 +285,22 @@ def _attend(vd, wed, qd, wdd, sv) -> tuple:
     return e, _softmax((e @ sv).reshape(1, -1))  # the (P, 1) scores as a (1, P) row
 
 
+def _attention_grads(g, y, e, tanh_grad, qd, values, we, wd, v) -> np.ndarray:
+    """attention's rule for g at its (1, P) weights y, given the forward's
+    tanh scores e, their 1 - e * e and the query's data qd: adds into values,
+    we, wd and v and returns the query's gradient.  Its products with inner
+    dimension 1 stay matmuls: a broadcast multiply would give -0.0 where
+    they give +0.0, and a gradient holding -0.0 would keep it."""
+    ds = _softmax_grad(g, y).reshape(-1, 1)  # at the scores, (P, 1)
+    _accum(v, e.T @ ds)
+    ds = (ds @ v.data.T) * tanh_grad  # at the tanh's input, (P, A)
+    dq = ds.sum(axis=0, keepdims=True)
+    _accum(wd, qd.T @ dq)
+    _accum(values, ds @ we.data.T)
+    _accum(we, values.data.T @ ds)
+    return dq @ wd.data.T
+
+
 def attention(values: Tensor, we: Tensor, query: Tensor, wd: Tensor, v: Tensor) -> Tensor:
     """Additive attention weights over the (P, E) rows of values: the (1, P)
     softmax((tanh(values @ we + query @ wd) @ v).T) for a (1, D) query,
@@ -297,18 +314,10 @@ def attention(values: Tensor, we: Tensor, query: Tensor, wd: Tensor, v: Tensor) 
     operands = (values, we, query, wd, v)
     if any(t.data.dtype != values.data.dtype for t in operands):
         raise _mixed("attention", *operands)
-    vd, wed, qd, wdd, sv = values.data, we.data, query.data, wd.data, v.data
-    e, y = _attend(vd, wed, qd, wdd, sv)
+    e, y = _attend(values.data, we.data, query.data, wd.data, v.data)
 
     def rule(g):
-        ds = _softmax_grad(g, y).reshape(-1, 1)  # at the scores, (P, 1)
-        _accum(v, e.T @ ds)
-        ds = (ds @ sv.T) * (1 - e * e)  # at the tanh's input, (P, A)
-        dq = ds.sum(axis=0, keepdims=True)
-        _accum(query, dq @ wdd.T)
-        _accum(wd, qd.T @ dq)
-        _accum(values, ds @ wed.T)
-        _accum(we, vd.T @ ds)
+        _accum(query, _attention_grads(g, y, e, 1 - e * e, query.data, values, we, wd, v))
 
     return _op(y, operands, rule)
 

@@ -86,6 +86,8 @@ def _derive_vocab(corpus) -> str:
 
 def _cmd_train(args) -> int:
     corpus = load_corpus(args.data)
+    if not corpus.ids:
+        raise ConfigError("corpus %s holds no utterances to train on" % args.data)
     first = corpus.features[corpus.ids[0]]
     cfg = ModelConfig(feat_dim=first.shape[1],
                       vgg_channels=tuple(args.vgg_channels),

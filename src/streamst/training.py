@@ -24,8 +24,8 @@ node's forward is decode_step, once per target token, on plain arrays.
 Its rule is backpropagation through time over the attention, both decoder
 LSTM layers, the output layer, the log-softmax picks and the guide, with the
 bits of those ops composed: lstm's own gate terms (autodiff._gate_terms),
-each parameter's per-step terms last step first in one ordered sum
-(autodiff._ordered_sum) from its existing gradient, embed's through np.add.at.
+attention's own rule (autodiff._attention_grads), and each step's terms added
+into each input's gradient as the loop reaches that step, last step first.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ def utterance_loss(frames: np.ndarray, target: str, params: Parameters,
     node.  Its forward is decode_step, called once per token on the arrays
     of the encoder outputs and the parameters.  Its rule, _decoder_rule,
     adds into each input what the composed ops' rules would, with their bits
-    and in their order: every step's term, last step first.
+    and in their order: each step's terms as it reaches that step, last step
+    first.
     """
     vocab = Vocab(cfg.vocab)
     token_ids = vocab.encode(target) + [EOS_ID]
@@ -145,43 +146,18 @@ def utterance_loss(frames: np.ndarray, target: str, params: Parameters,
     return ad._op(total * -1.0, (enc, *weights), rule), m
 
 
-def _add_rows(t: ad.Tensor, rows: np.ndarray) -> None:
-    """t.grad += rows[1]; t.grad += rows[2]; ..., bit for bit; rows[0] is scratch."""
-    if t.requires_grad:
-        rows[0] = t.ensure_grad()
-        ad._ordered_sum(rows, t.grad)
-
-
-def _scratch(t: ad.Tensor, terms: int) -> np.ndarray:
-    """Room for the gradient so far and that many terms of t's shape."""
-    return np.empty((terms + 1,) + t.shape, dtype=t.dtype)
-
-
-def _add_reversed(t: ad.Tensor, terms: np.ndarray) -> None:
-    """Add the step-ordered terms into t.grad, last step first."""
-    rows = _scratch(t, len(terms))
-    rows[1:] = terms[::-1]
-    _add_rows(t, rows)
-
-
-def _add_outer(t: ad.Tensor, a: np.ndarray, b: np.ndarray) -> None:
-    """Add each step's a[s].T @ b[s] into t.grad, last step first.  Those
-    products have inner dimension 1, so a broadcast multiply forms them."""
-    rows = _scratch(t, len(a))
-    np.multiply(a[::-1, :, None], b[::-1, None, :], out=rows[1:])
-    _add_rows(t, rows)
-
-
 def _decoder_rule(g, enc, weights, cfg, token_ids, steps, probs, guide_weight, windows, mass):
     """Backpropagation through utterance_loss's decoder and loss.
 
     The loss's softmax terms, the contexts, the attention's tanh scores and
-    the lstm gate terms are recomputed for all m steps at once; only the dh
-    and dc recurrence and the attention backward run step by step, last step
-    first.  Each row product is a 2-d call on a (1, K) row or a stacked
-    (m, 1, K) matmul, never an (m, K) sgemm, whose rows would differ.  Then
-    every parameter gets its per-step terms in one ordered reduce, and
-    embed's rows get theirs through np.add.at, last step first.
+    the lstm gate terms are recomputed for all m steps at once.  The rest
+    runs step by step, last step first, as the composed ops' rules do: the
+    dh and dc recurrence, and each step's terms added into each input's
+    gradient, the attention's through autodiff._attention_grads.  Each
+    gradient buffer is fetched once, with a zero sink in place of an input
+    that does not require grad.  Each row product is a 2-d call on a (1, K)
+    row or a stacked (m, 1, K) matmul, never an (m, K) sgemm, whose rows
+    would differ; the node's own one-term products are broadcast multiplies.
     """
     embed, we, wd, v, wx0, wh0, b0, wx1, wh1, b1, out_w, out_b = weights
     m, dt, n, n_emb = len(token_ids), enc.dtype, cfg.hidden, cfg.embed_dim
@@ -195,6 +171,7 @@ def _decoder_rule(g, enc, weights, cfg, token_ids, steps, probs, guide_weight, w
                                           for a in (h0, c0, h1, c1))
     ctx = np.matmul(attn[:, None, :], vd)[:, 0]  # (m, C)
     x0 = np.concatenate([embed.data[prev_ids], ctx], axis=1)  # the first layer's inputs
+    z = np.concatenate([h1, ctx], axis=1)  # the output layer's inputs
     # the loss: g times -1 at each picked log-probability, then log and softmax
     gy = np.zeros_like(probs)
     gy[np.arange(m), token_ids] = g * -1.0
@@ -211,54 +188,40 @@ def _decoder_rule(g, enc, weights, cfg, token_ids, steps, probs, guide_weight, w
     xw0, xw1 = np.matmul(x0[:, None, :], wx0.data), np.matmul(h0[:, None, :], wx1.data)
     dc_dh0, by_dc0, by_dh0, f0 = ad._gate_terms(xw0, h0_prev, c0_prev, c0, wh0.data, b0.data)
     dc_dh1, by_dc1, by_dh1, f1 = ad._gate_terms(xw1, h1_prev, c1_prev, c1, wh1.data, b1.data)
-    dg0, dg1 = np.empty((m, 4 * n), dtype=dt), np.empty((m, 4 * n), dtype=dt)
-    gctx, gemb = np.empty_like(ctx), np.empty((m, n_emb), dtype=dt)
-    ds, dse, dq = np.empty_like(attn), np.empty_like(e), np.empty((m, e.shape[2]), dtype=dt)
-    wh0_t, wx0_t, wh1_t, wx1_t = wh0.data.T, wx0.data.T, wh1.data.T, wx1.data.T
-    vd_t, wd_t, v_row = vd.T, wd.data.T, v.data.T
+    dg0, dg1 = np.empty((1, 4 * n), dtype=dt), np.empty((1, 4 * n), dtype=dt)
+    wh0_t, wx0_t, wh1_t, wx1_t, vd_t = wh0.data.T, wx0.data.T, wh1.data.T, wx1.data.T, vd.T
+    g_emb, g_wx0, g_wh0, g_b0, g_wx1, g_wh1, g_b1, g_out_w, g_out_b, g_enc = (
+        t.ensure_grad() if t.requires_grad else np.zeros_like(t.data)
+        for t in (embed, wx0, wh0, b0, wx1, wh1, b1, out_w, out_b, enc))
     for t in range(m - 1, -1, -1):
         last = t == m - 1
+        g_out_b += gl[t]
+        g_out_w += z[t, :, None] * gl[t]
         # the second layer's h: the next step's lstm and attention terms, then the output layer's
         dh = gz[t:t + 1, :n] if last else (dh1 + dq_h) + gz[t:t + 1, :n]
         dc = dh * dc_dh1[t] if last else dc1 + dh * dc_dh1[t]
-        np.multiply(dc, by_dc1[t], out=dg1[t, :3 * n].reshape(3, n))
-        np.multiply(dh[0], by_dh1[t], out=dg1[t, 3 * n:])
-        dc1, dh1 = dc * f1[t], dg1[t:t + 1] @ wh1_t
+        np.multiply(dc, by_dc1[t], out=dg1[0, :3 * n].reshape(3, n))
+        np.multiply(dh[0], by_dh1[t], out=dg1[0, 3 * n:])
+        dc1, dh1 = dc * f1[t], dg1 @ wh1_t
+        g_wx1 += h0[t, :, None] * dg1[0]
+        g_wh1 += h1_prev[t, :, None] * dg1[0]
+        g_b1 += dg1[0]
         # the first layer's h: the next step's lstm term, then the second layer's input term
-        dh = dg1[t:t + 1] @ wx1_t if last else dh0 + dg1[t:t + 1] @ wx1_t
+        dh = dg1 @ wx1_t if last else dh0 + dg1 @ wx1_t
         dc = dh * dc_dh0[t] if last else dc0 + dh * dc_dh0[t]
-        np.multiply(dc, by_dc0[t], out=dg0[t, :3 * n].reshape(3, n))
-        np.multiply(dh[0], by_dh0[t], out=dg0[t, 3 * n:])
-        dc0, dh0 = dc * f0[t], dg0[t:t + 1] @ wh0_t
-        gx = dg0[t:t + 1] @ wx0_t
-        gemb[t] = gx[0, :n_emb]
-        np.add(gz[t:t + 1, n:], gx[:, n_emb:], out=gctx[t:t + 1])
+        np.multiply(dc, by_dc0[t], out=dg0[0, :3 * n].reshape(3, n))
+        np.multiply(dh[0], by_dh0[t], out=dg0[0, 3 * n:])
+        dc0, dh0 = dc * f0[t], dg0 @ wh0_t
+        g_wx0 += x0[t, :, None] * dg0[0]
+        g_wh0 += h0_prev[t, :, None] * dg0[0]
+        g_b0 += dg0[0]
+        gx = dg0 @ wx0_t
+        g_emb[prev_ids[t]] += gx[0, :n_emb]
+        gctx = gz[t:t + 1, n:] + gx[:, n_emb:]
         # attention: the context's term, then the weights' softmax and the tanh
-        ds[t] = ad._softmax_grad(ga0[t:t + 1] + gctx[t:t + 1] @ vd_t, attn[t:t + 1])
-        np.multiply(ds[t, :, None] * v_row, tanh_grad[t], out=dse[t])
-        dq[t] = dse[t].sum(axis=0)
-        dq_h = dq[t:t + 1] @ wd_t
-    # the composed ops add each step's terms: output layer, lstms, context, attention
-    _add_reversed(out_b, gl)
-    _add_outer(out_w, np.concatenate([h1, ctx], axis=1), gl)
-    for x, h_prev, dg, (wx, wh, b) in ((h0, h1_prev, dg1, (wx1, wh1, b1)),
-                                       (x0, h0_prev, dg0, (wx0, wh0, b0))):
-        _add_outer(wx, x, dg)
-        _add_outer(wh, h_prev, dg)
-        _add_reversed(b, dg)
-    terms = _scratch(enc, 2 * m)  # each step adds the context's term, then the attention's
-    np.multiply(attn[::-1, :, None], gctx[::-1, None, :], out=terms[1::2])
-    np.matmul(dse[::-1], we.data.T, out=terms[2::2])
-    _add_rows(enc, terms)
-    terms = _scratch(v, m)
-    np.matmul(e[::-1].transpose(0, 2, 1), ds[::-1, :, None], out=terms[1:])
-    _add_rows(v, terms)
-    _add_outer(wd, h1_prev, dq)
-    terms = _scratch(we, m)
-    np.matmul(vd_t, dse[::-1], out=terms[1:])
-    _add_rows(we, terms)
-    if embed.requires_grad:
-        np.add.at(embed.ensure_grad(), prev_ids[::-1], gemb[::-1])
+        g_enc += attn[t, :, None] * gctx[0]
+        dq_h = ad._attention_grads(ga0[t:t + 1] + gctx @ vd_t, attn[t:t + 1], e[t],
+                                   tanh_grad[t], h1_prev[t:t + 1], enc, we, wd, v)
 
 
 def _global_norm(params: Parameters) -> float:

@@ -686,6 +686,32 @@ class TestAttention:
             assert (got is None) == (want is None) == (not need)
             assert got is None or got.tobytes() == want.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.integers(1, 6), dims=st.tuples(*[st.integers(1, 4)] * 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_gradients_added_into_signed_zeros_equal_the_composed_ops(self, p, dims, seed):
+        """With inputs and the weights' gradient full of zeros of either
+        sign, and every input's gradient starting at +0.0 or -0.0, the rule
+        still adds the composed graph's bits: its one-term products are
+        matmuls, as theirs are, where a broadcast multiply would keep a
+        -0.0 that the matmul turns to +0.0."""
+        e, d, a = dims
+        rng = np.random.default_rng(seed)
+        signed = lambda shape: rng.choice([0.0, -0.0, 0.5, -2.0], size=shape)  # noqa: E731
+        arrays = [signed(s) for s in ((p, e), (e, a), (1, d), (d, a), (a, 1))]
+        starts = [rng.choice([0.0, -0.0], size=x.shape).astype(np.float32) for x in arrays]
+        head = signed((1, p))
+        grads = []
+        for attend in (ad.attention, composed_attention):
+            ts = [t(x, grad=True) for x in arrays]
+            for x, start in zip(ts, starts):
+                x.grad = start.copy()
+            with ad.Tape() as tape:
+                loss = ad.sum_all(ad.mul(attend(*ts), t(head)))
+            ad.backward(tape, loss)
+            grads.append([x.grad.tobytes() for x in ts])
+        assert grads[0] == grads[1]
+
     def test_rejects_mismatched_shapes_and_mixed_dtypes(self):
         ts = [t(np.ones(s)) for s in ((4, 3), (3, 5), (1, 2), (2, 5), (5, 1))]
         for i, bad in ((0, (4, 2)), (1, (3, 4)), (2, (2, 2)), (3, (3, 5)), (4, (5,))):

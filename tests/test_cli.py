@@ -615,6 +615,15 @@ def test_train_refuses_an_utterance_too_short_to_encode_before_any_update(
     assert losses == [] and not path.exists()
 
 
+def test_train_on_an_empty_corpus_names_it_and_writes_no_model(tmp_path, capsys):
+    data, path = tmp_path / "data", tmp_path / "m.ckpt"
+    save_corpus(data, [])
+    assert cli.main(["train", "--data", str(data), "--model", str(path)] + TRAIN_ARGS) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: corpus %s holds no utterances to train on" % data]
+    assert not path.exists()
+
+
 MISSING = object()
 ANY_VALUE = st.one_of(st.integers(), st.booleans(), st.floats(), st.text(max_size=4),
                       st.none(), st.just(MISSING))

@@ -26,9 +26,7 @@ def sequential(rows):
 def test_outer_axis_reduce_adds_whole_rows_in_order(width):
     """np.add.reduce over the outer axis of (n, width) rows adds them one row
     at a time.  Contract: conv2d's outputs equal a scalar loop's
-    (_sum_taps), and training's decoder node adds each parameter's per-step
-    terms with the composed ops' bits (_add_rows); both sum through
-    _ordered_sum."""
+    (_sum_taps, through _ordered_sum)."""
     rng = np.random.default_rng(width)
     for n in (3, 9, 23, 40):
         rows = (rng.standard_normal((n, width)) * 10.0 ** rng.integers(-4, 9, (n, 1))).astype(
@@ -85,6 +83,26 @@ def test_dot_on_a_row_has_matmuls_bits(hidden):
     np.dot(h, w, out)
     assert out.tobytes() == (h @ w).tobytes()
     assert out.tobytes() == np.matmul(h[None], w)[0].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 80), cols=st.integers(1, 160),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_one_term_matmul_is_the_broadcast_product_from_positive_zero(data, rows, cols, dtype):
+    """An (F, 1) @ (1, K) matmul, whose every output is one product, gives
+    the bits of the broadcast a[:, None] * b added to +0.0: the same values,
+    but +0.0 where the product is -0.0.  So either, added into a sum that is
+    not -0.0, gives the same bits.  Contract: training's decoder node forms
+    its outer products by broadcasting where the composed ops' rules call
+    matmul, and adds them into gradients that the tape starts at +0.0;
+    attention's rule (_attention_grads) keeps its matmuls."""
+    values = st.floats(-2.0 ** 60, 2.0 ** 60, width=32)
+    a = data.draw(arrays(dtype, (rows,), elements=values))
+    b = data.draw(arrays(dtype, (cols,), elements=values))
+    total = data.draw(arrays(dtype, (rows, cols), elements=values)) + dtype(0)  # no -0.0
+    product, broadcast = a[:, None] @ b[None, :], a[:, None] * b
+    assert product.tobytes() == (broadcast + dtype(0)).tobytes()
+    assert (total + product).tobytes() == (total + broadcast).tobytes()
 
 
 def test_multiply_under_a_changed_ufunc_buffer_gives_the_same_values():

@@ -15,7 +15,7 @@ from streamst.errors import ConfigError, TrainingDivergedError
 from streamst.model import (BOS_ID, EOS_ID, ModelConfig, Parameters, Vocab, create_parameters,
                             decode_step, encode_utterance, init_decoder_state)
 from streamst.synthetic import SyntheticSpec, generate_corpus, split_holdout
-from streamst.training import (EpochReport, TrainConfig, _apply_update,
+from streamst.training import (_DECODER_PARAMETERS, EpochReport, TrainConfig, _apply_update,
                                _global_norm, train, utterance_loss)
 
 SPEC = SyntheticSpec(frames_per_symbol=4, feat_dim=6, seed=21)
@@ -111,17 +111,18 @@ SYMBOLS = "ABCDEFGHIJKLMNOPQRST "  # the toy task's target vocabulary
 
 
 def accumulate(loss_fn, cfg, params, utterances, guide_weight, start):
-    """Each utterance's loss bytes, then every parameter's gradient bytes
-    after backward has added all of them into the grads given by start."""
+    """Each utterance's loss bytes, then every parameter's gradient bytes,
+    or None if it has none, after backward has added all of them into the
+    grads given by start; a frozen parameter starts with none."""
     for name, t in params:
-        t.grad = None if start is None else start[name].copy()
+        t.grad = None if start is None or not t.requires_grad else start[name].copy()
     losses = []
     for frames, target in utterances:
         with ad.Tape() as tape:
             loss, _ = loss_fn(frames, target, params, cfg, guide_weight)
         ad.backward(tape, loss)
         losses.append(loss.data.tobytes())
-    return losses, {name: t.grad.tobytes() for name, t in params}
+    return losses, {name: None if t.grad is None else t.grad.tobytes() for name, t in params}
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,6 +162,46 @@ def test_loss_and_gradients_have_the_bits_of_the_composed_ops(
     (losses, grads), (want_losses, want_grads) = results
     assert losses == want_losses
     for name, _ in init:
+        assert grads[name] == want_grads[name], name
+
+
+@settings(max_examples=30, deadline=None)
+@given(enc_layers=st.integers(1, 2), bidirectional=st.booleans(), hidden=st.integers(1, 16),
+       attn_dim=st.integers(1, 16), embed_dim=st.integers(1, 8),
+       shapes=st.lists(st.tuples(st.integers(4, 24), st.integers(0, 6)), min_size=2, max_size=2),
+       guide_weight=st.one_of(st.just(0.0), st.floats(0.01, 2.0)), seeded=st.booleans(),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_frozen_parameters_get_no_gradient_and_the_rest_the_composed_ops_bits(
+        enc_layers, bidirectional, hidden, attn_dim, embed_dim, shapes, guide_weight, seeded,
+        seed, data):
+    """With any subset of the parameters frozen (requires_grad False), or
+    the whole encoder side, so that the encoder outputs need no gradient,
+    the frozen .grads stay None and the loss and every other gradient have
+    the composed tape ops' bytes."""
+    cfg = ModelConfig(feat_dim=6, vgg_channels=(2, 3), enc_layers=enc_layers, hidden=hidden,
+                      bidirectional=bidirectional, attn_dim=attn_dim, embed_dim=embed_dim,
+                      vocab=SYMBOLS[:6])
+    init = create_parameters(cfg, seed=seed)
+    names = [name for name, _ in init]
+    encoder_side = frozenset(names) - set(_DECODER_PARAMETERS)
+    flags = st.lists(st.booleans(), min_size=len(names), max_size=len(names))
+    frozen = data.draw(st.one_of(flags.map(lambda fs: {n for n, f in zip(names, fs) if f}),
+                                 st.just(encoder_side)), label="frozen")
+    rng = np.random.default_rng(seed)
+    utterances = [(rng.standard_normal((n_frames, 6)).astype(np.float32),
+                   "".join(rng.choice(list(cfg.vocab), size=length)))
+                  for n_frames, length in shapes]
+    start = ({name: rng.standard_normal(t.shape).astype(np.float32) for name, t in init}
+             if seeded else None)
+    results = []
+    for loss_fn in (utterance_loss, helpers.utterance_loss_ops):
+        params = Parameters([(name, ad.Tensor(t.data.copy(), requires_grad=name not in frozen))
+                             for name, t in init])
+        results.append(accumulate(loss_fn, cfg, params, utterances, guide_weight, start))
+    (losses, grads), (want_losses, want_grads) = results
+    assert losses == want_losses
+    for name in names:
+        assert (grads[name] is None) == (name in frozen), name
         assert grads[name] == want_grads[name], name
 
 
